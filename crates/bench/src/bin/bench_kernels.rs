@@ -6,6 +6,8 @@
 //!     (GFLOP/s each, plus the speedup ratio),
 //!   * cache-blocked `syrk_ln_f64` vs its reference,
 //!   * blocked `potrf_blocked_f64`,
+//!   * the tile-path `gemm_tile_ws` per reduced kernel precision on one
+//!     128 × 128 tile (FP32, FP16_32, and the f32-emulated pure FP16),
 //!
 //! and, on the tile path, the steady-state workspace reallocation count per
 //! task (the allocation-free invariant: must be 0 after warmup).
@@ -98,6 +100,29 @@ fn main() {
         reference_potrf_f64(&mut w, n).unwrap();
     });
     push("potrf_f64_reference", potrf_flops, t);
+
+    // Tile-path GEMM per kernel precision on one `nb × nb` tile (the
+    // likelihood benchmark's tile size), serial, C stored in F32 as the
+    // precision map stores every reduced-precision tile: operand
+    // quantization, staging and the emulated arithmetic included.
+    let nb = 128.min(n);
+    let tile_flops = 2.0 * (nb * nb * nb) as f64;
+    let ta = Tile::from_f64(nb, nb, &a[..nb * nb], StoragePrecision::F64);
+    let tb = Tile::from_f64(nb, nb, &b[..nb * nb], StoragePrecision::F64);
+    let tc0 = Tile::from_f64(nb, nb, &c0[..nb * nb], StoragePrecision::F32);
+    let mut ws = Workspace::new();
+    for (name, p) in [
+        ("gemm_tile_fp32", Precision::Fp32),
+        ("gemm_tile_fp16x32", Precision::Fp16x32),
+        ("gemm_tile_fp16", Precision::Fp16),
+    ] {
+        let mut tc = tc0.clone();
+        let t = median_secs(reps, || {
+            tc.clone_from(&tc0);
+            gemm_tile_ws(p, &ta, &tb, &mut tc, &mut ws, false);
+        });
+        push(name, tile_flops, t);
+    }
 
     // Allocation-free steady state: workspace grow events per task after the
     // first (warmup) task of each shape, on the tile GEMM path.

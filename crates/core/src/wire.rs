@@ -29,7 +29,7 @@
 //! primitives; `bench_wire` measures them.
 
 use half::f16;
-use mixedp_fp::{CommPrecision, StoragePrecision};
+use mixedp_fp::{round_f16, round_f16_f32, CommPrecision, StoragePrecision};
 use mixedp_obs as obs;
 use mixedp_tile::{Tile, TileBuf};
 
@@ -397,10 +397,10 @@ pub fn quantize_through_wire(t: &Tile, wire: CommPrecision) -> Tile {
             TileBuf::F64(v.iter().map(|&x| (x as f32) as f64).collect())
         }
         (TileBuf::F64(v), CommPrecision::Fp16) => {
-            TileBuf::F64(v.iter().map(|&x| f16::from_f64(x).to_f64()).collect())
+            TileBuf::F64(v.iter().map(|&x| round_f16(x)).collect())
         }
         (TileBuf::F32(v), CommPrecision::Fp16) => {
-            TileBuf::F32(v.iter().map(|&x| f16::from_f32(x).to_f32()).collect())
+            TileBuf::F32(v.iter().map(|&x| round_f16_f32(x)).collect())
         }
     };
     Tile::from_buf(rows, cols, buf)

@@ -26,4 +26,6 @@ pub use convert::{convert_cost_bytes, quantize_slice, quantize_slice_in_place};
 pub use format::{CommPrecision, Precision, StoragePrecision};
 pub use fp8::{round_e4m3, round_e5m2};
 pub use lattice::{comm_of_storage, comm_requirement, escalate, higher_comm, storage_precision_of};
-pub use round::{quantize, round_bf16, round_f16, round_f32, round_tf32};
+pub use round::{
+    quantize, round_bf16, round_f16, round_f16_f32, round_f32, round_tf32, round_tf32_f32,
+};

@@ -8,7 +8,9 @@
 //!   accumulation (the f16·f16 product is exact in f32, exactly as tensor
 //!   cores compute it).
 //! * **FP16** — inputs *and* the running accumulation in binary16, with
-//!   per-operation rounding.
+//!   per-operation rounding. Emulated exactly in f32: the f16·f16 product
+//!   is exact in binary32, and rounding the f32 difference back onto the
+//!   binary16 grid equals the binary16 subtraction (Figueroa: 24 ≥ 2·11+2).
 //! * Hardware limitation (paper §V): FP16-class TRSM does not exist on
 //!   NVIDIA GPUs, so [`trsm_effective_precision`] clamps those to FP32, and
 //!   POTRF/SYRK on diagonal tiles always run FP64 (Algorithm 1 "D" prefix).
@@ -31,7 +33,7 @@
 use crate::blas;
 use crate::workspace::{with_thread_workspace, Workspace};
 use half::f16;
-use mixedp_fp::Precision;
+use mixedp_fp::{round_bf16, round_f16, round_f16_f32, round_tf32_f32, Precision};
 use mixedp_obs as obs;
 use mixedp_tile::{Tile, TileBuf};
 use rayon::prelude::*;
@@ -97,24 +99,47 @@ pub fn compute_format_index(p: Precision) -> Option<usize> {
 
 /// Quantize a tile through `p`'s input representation into an f32 buffer
 /// (every value of every format ≤ FP32 is exactly f32 representable).
-/// Single widening per element, no intermediate allocation.
+/// One rounding per element — bit-identical to `mixedp_fp::quantize(p, x)`
+/// — with the per-format rounding chosen once, outside the element loop.
 fn quantize_into(p: Precision, t: &Tile, out: &mut Vec<f32>) {
-    out.clear();
-    match t.buf() {
-        TileBuf::F64(v) => out.extend(v.iter().map(|&x| mixedp_fp::quantize(p, x) as f32)),
-        TileBuf::F32(v) => out.extend(v.iter().map(|&x| mixedp_fp::quantize(p, x as f64) as f32)),
-        TileBuf::F16(v) => out.extend(v.iter().map(|x| mixedp_fp::quantize(p, x.to_f64()) as f32)),
+    match p {
+        Precision::Fp64 | Precision::Fp32 => t.read_f32_into(out),
+        Precision::Tf32 => quantize_with(t, out, |x| round_tf32_f32(x as f32), round_tf32_f32),
+        Precision::Fp16x32 | Precision::Fp16 => {
+            quantize_with(t, out, |x| round_f16(x) as f32, round_f16_f32)
+        }
+        Precision::Bf16x32 => quantize_with(
+            t,
+            out,
+            |x| round_bf16(x) as f32,
+            |x| round_bf16(x as f64) as f32,
+        ),
     }
 }
 
-/// Read a tile as binary16 values (the FP16 GEMM input grid).
-fn f16_into(t: &Tile, out: &mut Vec<f16>) {
+/// [`quantize_into`]'s element loop for one format: `q64` rounds an f64
+/// element directly (never via f32, which would round twice), `q32` rounds
+/// an exact f32 one.
+fn quantize_with(t: &Tile, out: &mut Vec<f32>, q64: impl Fn(f64) -> f32, q32: impl Fn(f32) -> f32) {
     out.clear();
     match t.buf() {
-        TileBuf::F64(v) => out.extend(v.iter().map(|&x| f16::from_f64(x))),
-        TileBuf::F32(v) => out.extend(v.iter().map(|&x| f16::from_f64(x as f64))),
-        TileBuf::F16(v) => out.extend_from_slice(v),
+        TileBuf::F64(v) => out.extend(v.iter().map(|&x| q64(x))),
+        TileBuf::F32(v) => out.extend(v.iter().map(|&x| q32(x))),
+        TileBuf::F16(v) => out.extend(v.iter().map(|x| q32(x.to_f32()))),
     }
+}
+
+/// Widen a binary16 image into an f32 buffer (exact).
+fn widen_f16_into(v: &[f16], out: &mut Vec<f32>) {
+    out.clear();
+    out.extend(v.iter().map(|x| x.to_f32()));
+}
+
+/// Write the transpose of the row-major `rows × cols` matrix `src` into
+/// `out` (row-major `cols × rows`).
+fn transpose_into(src: &[f32], rows: usize, cols: usize, out: &mut Vec<f32>) {
+    out.clear();
+    out.extend((0..cols).flat_map(|j| (0..rows).map(move |i| src[i * cols + j])));
 }
 
 /// Build the compute-format image of `t` for kernel precision `p`
@@ -124,11 +149,11 @@ fn f16_into(t: &Tile, out: &mut Vec<f16>) {
 pub fn make_compute_buf(p: Precision, t: &Tile) -> ComputeBuf {
     match p {
         Precision::Fp64 => panic!("FP64 operands are consumed directly, not via ComputeBuf"),
-        Precision::Fp16 => {
-            let mut v = Vec::with_capacity(t.len());
-            f16_into(t, &mut v);
-            ComputeBuf::F16(v)
-        }
+        Precision::Fp16 => ComputeBuf::F16(match t.buf() {
+            TileBuf::F64(v) => v.iter().map(|&x| f16::from_f64(x)).collect(),
+            TileBuf::F32(v) => v.iter().map(|&x| f16::from_f32(x)).collect(),
+            TileBuf::F16(v) => v.clone(),
+        }),
         _ => {
             let mut v = Vec::with_capacity(t.len());
             quantize_into(p, t, &mut v);
@@ -348,27 +373,30 @@ fn gemm_tile_ws_cached_inner(
             }
         }
         Precision::Fp16 => {
-            let af: &[f16] = match a_buf {
-                Some(ComputeBuf::F16(v)) if v.len() == m * k => v,
+            // Every operand is staged as f32 images of binary16 values; B
+            // goes through `c32` (free until C is staged) into `b32` as Bᵀ.
+            let af: &[f32] = match a_buf {
+                Some(ComputeBuf::F16(v)) if v.len() == m * k => {
+                    ws.a32.load(|o| widen_f16_into(v, o))
+                }
                 _ => {
                     converted += 1;
-                    ws.a16.load(|v| f16_into(a, v))
+                    ws.a32.load(|o| quantize_into(p, a, o))
                 }
             };
-            let bf: &[f16] = match b_buf {
-                Some(ComputeBuf::F16(v)) if v.len() == n * k => v,
+            let b_rows: &[f32] = match b_buf {
+                Some(ComputeBuf::F16(v)) if v.len() == n * k => {
+                    ws.c32.load(|o| widen_f16_into(v, o))
+                }
                 _ => {
                     converted += 1;
-                    ws.b16.load(|v| f16_into(b, v))
+                    ws.c32.load(|o| quantize_into(p, b, o))
                 }
             };
-            let cf = ws.c16.load(|v| f16_into(c, v));
-            gemm_f16_core(af, bf, cf, m, n, k, parallel);
-            let wide = ws.c64.load(|v| {
-                v.clear();
-                v.extend(cf.iter().map(|x| x.to_f64()));
-            });
-            c.store_f64(wide);
+            let bt = ws.b32.load(|o| transpose_into(b_rows, n, k, o));
+            let cf = ws.c32.load(|o| quantize_into(p, c, o));
+            gemm_f16_f32(af, bt, cf, m, n, k, parallel);
+            c.write_f32(cf);
         }
         _ => {
             // FP32 / TF32 / FP16_32 / BF16_32: quantize inputs to the
@@ -387,33 +415,47 @@ fn gemm_tile_ws_cached_inner(
                     ws.b32.load(|v| quantize_into(p, b, v))
                 }
             };
-            let cf = ws.c32.load(|v| c.read_f32_into(v));
-            blas::gemm_nt_f32_p(af, bf, cf, m, n, k, parallel);
-            c.write_f32(cf);
+            if let Some(cf) = c.as_mut_f32_slice() {
+                blas::gemm_nt_f32_p(af, bf, cf, m, n, k, parallel);
+            } else {
+                let cf = ws.c32.load(|v| c.read_f32_into(v));
+                blas::gemm_nt_f32_p(af, bf, cf, m, n, k, parallel);
+                c.write_f32(cf);
+            }
         }
     }
     converted
 }
 
-/// Pure-FP16 GEMM core: binary16 inputs, binary16 multiply results,
-/// binary16 running accumulation — per-operation rounding via `half::f16`.
-fn gemm_f16_core(
-    af: &[f16],
-    bf: &[f16],
-    cf: &mut [f16],
+/// Output columns one FP16 micro-kernel call keeps in registers.
+const F16_NR: usize = 16;
+
+/// Pure-FP16 GEMM `C ← C − A·Bᵀ` emulated exactly in f32: `af` (m×k),
+/// `bt` = Bᵀ (k×n) and `cf` (m×n) hold binary16 values, and every
+/// operation is rounded back onto the binary16 grid, `acc = r16(acc −
+/// r16(a·b))`, with k walked in order — the per-op sequence of a binary16
+/// multiply-then-subtract loop, so results are bit-identical to `half::f16`
+/// arithmetic (see `crates/fp/tests/f16_exhaustive.rs`).
+fn gemm_f16_f32(
+    af: &[f32],
+    bt: &[f32],
+    cf: &mut [f32],
     m: usize,
     n: usize,
     k: usize,
     parallel: bool,
 ) {
-    let body = |(i, crow): (usize, &mut [f16])| {
+    let body = |(i, crow): (usize, &mut [f32])| {
         let ai = &af[i * k..(i + 1) * k];
-        for (j, cij) in crow.iter_mut().enumerate() {
-            let bj = &bf[j * k..(j + 1) * k];
+        let mut blocks = crow.chunks_exact_mut(F16_NR);
+        for (jb, cblk) in blocks.by_ref().enumerate() {
+            f16_row_block(ai, bt, n, jb * F16_NR, cblk.try_into().unwrap());
+        }
+        let j0 = n - n % F16_NR;
+        for (j, cij) in blocks.into_remainder().iter_mut().enumerate() {
             let mut acc = *cij;
-            for (x, y) in ai.iter().zip(bj) {
-                let prod = *x * *y; // f16 multiply (rounds to f16)
-                acc = acc - prod; // f16 subtract (rounds to f16)
+            for (t, &x) in ai.iter().enumerate() {
+                acc = round_f16_f32(acc - round_f16_f32(x * bt[t * n + j0 + j]));
             }
             *cij = acc;
         }
@@ -423,6 +465,20 @@ fn gemm_f16_core(
     } else {
         cf.chunks_mut(n).enumerate().for_each(body);
     }
+}
+
+/// FP16 micro-kernel: one row of A against columns `j0..j0+F16_NR` of Bᵀ,
+/// with one accumulator per column so the lanes vectorize.
+#[inline(always)]
+fn f16_row_block(ai: &[f32], bt: &[f32], n: usize, j0: usize, c: &mut [f32; F16_NR]) {
+    let mut acc = *c;
+    for (t, &x) in ai.iter().enumerate() {
+        let b: &[f32; F16_NR] = bt[t * n + j0..t * n + j0 + F16_NR].try_into().unwrap();
+        for (a, &y) in acc.iter_mut().zip(b) {
+            *a = round_f16_f32(*a - round_f16_f32(x * y));
+        }
+    }
+    *c = acc;
 }
 
 /// FP8 GEMM emulation (extension): inputs rounded through FP8 E4M3, FP32
@@ -486,6 +542,38 @@ impl KernelKind {
 mod tests {
     use super::*;
     use mixedp_fp::StoragePrecision as SP;
+    use proptest::prelude::*;
+
+    /// The original pure-FP16 GEMM core: binary16 inputs, binary16 multiply
+    /// results, binary16 running accumulation — per-operation rounding via
+    /// `half::f16`. Oracle of the f32-emulated core.
+    fn gemm_f16_core(
+        af: &[f16],
+        bf: &[f16],
+        cf: &mut [f16],
+        m: usize,
+        n: usize,
+        k: usize,
+        parallel: bool,
+    ) {
+        let body = |(i, crow): (usize, &mut [f16])| {
+            let ai = &af[i * k..(i + 1) * k];
+            for (j, cij) in crow.iter_mut().enumerate() {
+                let bj = &bf[j * k..(j + 1) * k];
+                let mut acc = *cij;
+                for (x, y) in ai.iter().zip(bj) {
+                    let prod = *x * *y; // f16 multiply (rounds to f16)
+                    acc = acc - prod; // f16 subtract (rounds to f16)
+                }
+                *cij = acc;
+            }
+        };
+        if parallel && m >= 64 {
+            cf.par_chunks_mut(n).enumerate().for_each(body);
+        } else {
+            cf.chunks_mut(n).enumerate().for_each(body);
+        }
+    }
 
     fn spd_tile(n: usize) -> Tile {
         let mut d = vec![0.0; n * n];
@@ -646,6 +734,132 @@ mod tests {
             }
         }
         assert_eq!(ws.grow_events(), warm, "warm workspace reallocated");
+    }
+
+    /// Raw element bits in the tile's own storage format (NaN payloads and
+    /// signed zeros included).
+    fn raw_bits(t: &Tile) -> Vec<u64> {
+        match t.buf() {
+            TileBuf::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+            TileBuf::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+            TileBuf::F16(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+        }
+    }
+
+    /// The original FP16 GEMM data path: stage every operand as `f16`, run
+    /// [`gemm_f16_core`], store the widened result.
+    fn gemm_f16_oracle(a: &Tile, b: &Tile, c: &mut Tile, parallel: bool) {
+        let to_f16 = |t: &Tile| -> Vec<f16> {
+            match t.buf() {
+                TileBuf::F64(v) => v.iter().map(|&x| f16::from_f64(x)).collect(),
+                TileBuf::F32(v) => v.iter().map(|&x| f16::from_f64(x as f64)).collect(),
+                TileBuf::F16(v) => v.clone(),
+            }
+        };
+        let (af, bf, mut cf) = (to_f16(a), to_f16(b), to_f16(c));
+        gemm_f16_core(&af, &bf, &mut cf, c.rows(), c.cols(), a.cols(), parallel);
+        let wide: Vec<f64> = cf.iter().map(|x| x.to_f64()).collect();
+        c.store_f64(&wide);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The f32-emulated FP16 GEMM is bit-identical to the binary16
+        /// oracle for every storage format of A/B/C, cached and uncached
+        /// operands, ragged shapes (including m, n below one micro-kernel
+        /// block) and magnitudes that overflow to ±∞ (then NaN) or land in
+        /// the binary16 subnormal range.
+        #[test]
+        fn fp16_gemm_matches_f16_oracle(
+            m in 1usize..80,
+            n in 1usize..40,
+            k in 1usize..40,
+            storage in 0usize..27,
+            cached in 0u32..4,
+            scale in 0usize..5,
+            seed in 0u64..1 << 32,
+            parallel in 0u32..2,
+        ) {
+            const SP_ALL: [SP; 3] = [SP::F64, SP::F32, SP::F16];
+            // ~1: ordinary; 300: products and sums past 65504; 7e4:
+            // operands already ±∞; 2e-4 and 2^-13: products and partial
+            // sums in (or through) the subnormal range.
+            let scale = [1.0, 300.0, 7e4, 2e-4, 2f64.powi(-13)][scale];
+            let scaled = |t: Tile, sp: SP| {
+                let v: Vec<f64> = t.to_f64().iter().map(|x| x * scale).collect();
+                Tile::from_f64(t.rows(), t.cols(), &v, sp)
+            };
+            let a = scaled(rand_tile(m, k, seed, SP::F64), SP_ALL[storage % 3]);
+            let b = scaled(rand_tile(n, k, seed + 1, SP::F64), SP_ALL[storage / 3 % 3]);
+            let c0 = scaled(rand_tile(m, n, seed + 2, SP::F64), SP_ALL[storage / 9]);
+            let ab = make_compute_buf(Precision::Fp16, &a);
+            let bb = make_compute_buf(Precision::Fp16, &b);
+            let a_buf = (cached & 1 == 1).then_some(&ab);
+            let b_buf = (cached & 2 == 2).then_some(&bb);
+
+            let mut want = c0.clone();
+            gemm_f16_oracle(&a, &b, &mut want, parallel == 1);
+            let mut got = c0.clone();
+            let mut ws = Workspace::new();
+            gemm_tile_ws_cached(
+                Precision::Fp16, &a, a_buf, &b, b_buf, &mut got, &mut ws, parallel == 1,
+            );
+            prop_assert_eq!(raw_bits(&got), raw_bits(&want), "{}x{}x{} scale {}", m, n, k, scale);
+        }
+    }
+
+    #[test]
+    fn fp32_class_gemm_updates_f32_tiles_in_place_bit_identically() {
+        // The in-place F32 path must match the staged route (read C as
+        // f32, run the same blocked kernel, write back) bit for bit.
+        let (m, n, k) = (37, 21, 19);
+        for p in [Precision::Fp32, Precision::Tf32, Precision::Fp16x32] {
+            let a = rand_tile(m, k, 51, SP::F64);
+            let b = rand_tile(n, k, 52, SP::F16);
+            let c0 = rand_tile(m, n, 53, SP::F32);
+            let mut got = c0.clone();
+            gemm_tile(p, &a, &b, &mut got);
+            let (mut af, mut bf, mut cf) = (Vec::new(), Vec::new(), Vec::new());
+            quantize_into(p, &a, &mut af);
+            quantize_into(p, &b, &mut bf);
+            c0.read_f32_into(&mut cf);
+            blas::gemm_nt_f32_p(&af, &bf, &mut cf, m, n, k, false);
+            let mut want = c0.clone();
+            want.write_f32(&cf);
+            assert_eq!(raw_bits(&got), raw_bits(&want), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn quantize_into_matches_scalar_quantize() {
+        // The hoisted per-format loops round exactly like the scalar
+        // `mixedp_fp::quantize` for every format and storage class.
+        let vals = [
+            0.0,
+            -0.0,
+            1.0 / 3.0,
+            -2049.0,
+            65519.0,
+            65520.0,
+            1e6,
+            3e-8,
+            -6e-8,
+            1e-300,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for sp in [SP::F64, SP::F32, SP::F16] {
+            let t = Tile::from_f64(1, vals.len(), &vals, sp);
+            for p in Precision::ALL {
+                let mut out = Vec::new();
+                quantize_into(p, &t, &mut out);
+                for (j, &got) in out.iter().enumerate() {
+                    let want = mixedp_fp::quantize(p, t.get(0, j)) as f32;
+                    assert_eq!(got.to_bits(), want.to_bits(), "{p:?} {sp:?} {}", vals[j]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Reusable per-worker scratch buffers for the tile kernels.
 //!
-//! Every `*_tile` kernel needs transient dense staging: the f64 (or f32/f16)
+//! Every `*_tile` kernel needs transient dense staging: the f64 (or f32)
 //! image of its operand tiles. Allocating those images per task turns the
 //! factorization inner loop into a malloc benchmark. A [`Workspace`] owns one
 //! growable buffer per role; `prep`/`load` reuse the capacity across tasks, so
@@ -12,8 +12,6 @@
 //! GEMM.
 
 use std::cell::RefCell;
-
-use half::f16;
 
 /// A growable scratch buffer that counts reallocation events.
 ///
@@ -82,9 +80,6 @@ pub struct Workspace {
     pub a32: TrackedBuf<f32>,
     pub b32: TrackedBuf<f32>,
     pub c32: TrackedBuf<f32>,
-    pub a16: TrackedBuf<f16>,
-    pub b16: TrackedBuf<f16>,
-    pub c16: TrackedBuf<f16>,
     /// Scratch for blocked POTRF's diagonal/panel staging.
     pub p64: TrackedBuf<f64>,
     /// Byte scratch for packed wire messages (fused convert-and-pack
@@ -102,9 +97,6 @@ impl Workspace {
             a32: TrackedBuf::new(),
             b32: TrackedBuf::new(),
             c32: TrackedBuf::new(),
-            a16: TrackedBuf::new(),
-            b16: TrackedBuf::new(),
-            c16: TrackedBuf::new(),
             p64: TrackedBuf::new(),
             wire: TrackedBuf::new(),
         }
@@ -119,9 +111,6 @@ impl Workspace {
             + self.a32.grow_events()
             + self.b32.grow_events()
             + self.c32.grow_events()
-            + self.a16.grow_events()
-            + self.b16.grow_events()
-            + self.c16.grow_events()
             + self.p64.grow_events()
             + self.wire.grow_events()
     }

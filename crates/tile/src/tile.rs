@@ -192,6 +192,15 @@ impl Tile {
         }
     }
 
+    /// Direct mutable access to the backing `f32` buffer, when the tile is
+    /// stored in F32 — lets FP32-class kernels update in place.
+    pub fn as_mut_f32_slice(&mut self) -> Option<&mut [f32]> {
+        match &mut self.buf {
+            TileBuf::F32(v) => Some(v.as_mut_slice()),
+            _ => None,
+        }
+    }
+
     /// Direct read access to the backing `f64` buffer for F64 tiles.
     pub fn as_f64_slice(&self) -> Option<&[f64]> {
         match &self.buf {

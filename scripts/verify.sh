@@ -24,6 +24,9 @@ echo "== fault-injection recovery tests (release, multiple seeds)"
 FAULT_SEEDS="1,7,42,20260807,987654321" \
     cargo test --offline -q --release -p mixedp-core --test fault_recovery
 
+echo "== exhaustive FP16-emulation checks (release, 2^32 inputs each, ~2 min)"
+cargo test --offline -q --release -p mixedp-fp --test f16_exhaustive -- --ignored
+
 echo "== packed-wire property tests (release)"
 cargo test --offline -q --release -p mixedp-core --test wire_roundtrip
 cargo test --offline -q --release -p mixedp-core wire::

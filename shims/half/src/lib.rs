@@ -8,6 +8,8 @@
 //! precision experiments model. Arithmetic on `f16` routes through `f64`:
 //! products and sums of binary16 values are exact in binary64, so the
 //! single rounding back to binary16 gives correctly-rounded results.
+//! Reads widen bit-level to `f32` (every value of both formats is exact in
+//! binary32) with no branches on the value, so decode loops vectorize.
 
 /// Round-to-nearest-even encode of a finite/inf/NaN `f64` into a small
 /// binary float with `E` exponent bits and `M` mantissa bits (E + M ≤ 15).
@@ -60,27 +62,27 @@ fn encode<const E: u32, const M: u32>(x: f64) -> u16 {
     sign | code as u16
 }
 
-/// Exact decode of an `E`/`M` binary float into `f64`.
+/// Exact widen of an `E`/`M` binary float into `f32`, branch-free.
+///
+/// The exponent/mantissa bits are shifted into binary32 position, which
+/// reads them with f32's bias (127) instead of the format's; one exact
+/// multiply by `2^(127 − bias)` re-biases normals and lifts subnormals
+/// (f32 subnormals widen to the normals they denote — no DAZ in Rust).
+/// The all-ones exponent field maps to ±∞ or the canonical quiet NaN.
 #[inline]
-fn decode<const E: u32, const M: u32>(bits: u16) -> f64 {
-    let sign = if bits >> (E + M) & 1 == 1 { -1.0 } else { 1.0 };
-    let exp_field = (bits >> M) as i64 & ((1i64 << E) - 1);
-    let man = (bits & ((1u16 << M) - 1)) as f64;
-    let bias_t: i64 = (1i64 << (E - 1)) - 1;
-    let max_exp_field: i64 = (1i64 << E) - 1;
-    if exp_field == max_exp_field {
-        return if man == 0.0 {
-            sign * f64::INFINITY
-        } else {
-            f64::NAN
-        };
-    }
-    let scale = (2.0f64).powi(-(M as i32));
-    if exp_field == 0 {
-        // Subnormal: 0.man × 2^emin
-        sign * man * scale * (2.0f64).powi((1 - bias_t) as i32)
+fn widen<const E: u32, const M: u32>(bits: u16) -> f32 {
+    let bits = bits as u32;
+    let sign = (bits >> (E + M)) << 31;
+    let mag = bits & ((1u32 << (E + M)) - 1);
+    let inf = ((1u32 << E) - 1) << M;
+    let bias = (1u32 << (E - 1)) - 1;
+    let rebias = f32::from_bits((254 - bias) << 23);
+    let finite = f32::from_bits(mag << (23 - M)) * rebias;
+    let abs = if mag == inf { f32::INFINITY } else { finite };
+    if mag > inf {
+        f32::NAN
     } else {
-        sign * (1.0 + man * scale) * (2.0f64).powi((exp_field - bias_t) as i32)
+        f32::from_bits(abs.to_bits() | sign)
     }
 }
 
@@ -95,6 +97,8 @@ macro_rules! half_type {
         impl $name {
             pub const ZERO: Self = Self(0);
             pub const ONE: Self = Self(((1u16 << ($e - 1)) - 1) << $m);
+            const SIGN: u16 = 1u16 << ($e + $m);
+            const INF_BITS: u16 = ((1u16 << $e) - 1) << $m;
 
             #[inline]
             pub fn from_f64(x: f64) -> Self {
@@ -109,13 +113,14 @@ macro_rules! half_type {
 
             #[inline]
             pub fn to_f64(self) -> f64 {
-                decode::<$e, $m>(self.0)
+                // f32 → f64 is exact, so this is the exact value too.
+                self.to_f32() as f64
             }
 
             #[inline]
             pub fn to_f32(self) -> f32 {
                 // Every value of this format is exactly representable in f32.
-                self.to_f64() as f32
+                widen::<$e, $m>(self.0)
             }
 
             #[inline]
@@ -130,12 +135,12 @@ macro_rules! half_type {
 
             #[inline]
             pub fn is_nan(self) -> bool {
-                self.to_f64().is_nan()
+                self.0 & !Self::SIGN > Self::INF_BITS
             }
 
             #[inline]
             pub fn is_infinite(self) -> bool {
-                self.to_f64().is_infinite()
+                self.0 & !Self::SIGN == Self::INF_BITS
             }
         }
 
@@ -189,7 +194,7 @@ macro_rules! half_type {
             type Output = Self;
             #[inline]
             fn neg(self) -> Self {
-                Self(self.0 ^ (1u16 << ($e + $m)))
+                Self(self.0 ^ Self::SIGN)
             }
         }
     };
@@ -207,6 +212,55 @@ half_type!(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original `powi`-based decode, kept as the oracle of the
+    /// branch-free [`widen`].
+    fn decode<const E: u32, const M: u32>(bits: u16) -> f64 {
+        let sign = if bits >> (E + M) & 1 == 1 { -1.0 } else { 1.0 };
+        let exp_field = (bits >> M) as i64 & ((1i64 << E) - 1);
+        let man = (bits & ((1u16 << M) - 1)) as f64;
+        let bias_t: i64 = (1i64 << (E - 1)) - 1;
+        let max_exp_field: i64 = (1i64 << E) - 1;
+        if exp_field == max_exp_field {
+            return if man == 0.0 {
+                sign * f64::INFINITY
+            } else {
+                f64::NAN
+            };
+        }
+        let scale = (2.0f64).powi(-(M as i32));
+        if exp_field == 0 {
+            // Subnormal: 0.man × 2^emin
+            sign * man * scale * (2.0f64).powi((1 - bias_t) as i32)
+        } else {
+            sign * (1.0 + man * scale) * (2.0f64).powi((exp_field - bias_t) as i32)
+        }
+    }
+
+    #[test]
+    fn widen_matches_decode_on_every_code() {
+        for bits in 0..=u16::MAX {
+            let (h, b) = (f16::from_bits(bits), bf16::from_bits(bits));
+            let want = decode::<5, 10>(bits);
+            assert_eq!(h.to_f64().to_bits(), want.to_bits(), "f16 {bits:#06x}");
+            assert_eq!(
+                h.to_f32().to_bits(),
+                (want as f32).to_bits(),
+                "f16 {bits:#06x}"
+            );
+            assert_eq!(h.is_nan(), want.is_nan(), "f16 {bits:#06x}");
+            assert_eq!(h.is_infinite(), want.is_infinite(), "f16 {bits:#06x}");
+            let want = decode::<8, 7>(bits);
+            assert_eq!(b.to_f64().to_bits(), want.to_bits(), "bf16 {bits:#06x}");
+            assert_eq!(
+                b.to_f32().to_bits(),
+                (want as f32).to_bits(),
+                "bf16 {bits:#06x}"
+            );
+            assert_eq!(b.is_nan(), want.is_nan(), "bf16 {bits:#06x}");
+            assert_eq!(b.is_infinite(), want.is_infinite(), "bf16 {bits:#06x}");
+        }
+    }
 
     #[test]
     fn f16_known_values() {
