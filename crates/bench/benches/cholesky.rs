@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mixedp_core::{
-    factorize_mp, simulate_cholesky, uniform_map, CholeskySimOptions, PrecisionMap, Strategy,
+    factorize_mp, simulate_cholesky, uniform_map, CholeskySimOptions, PrecisionMap, WirePolicy,
 };
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_gpusim::{ClusterSpec, NodeSpec};
@@ -72,7 +72,7 @@ fn bench_sim_strategy(c: &mut Criterion) {
     g.sample_size(10);
     let cluster = ClusterSpec::new(NodeSpec::summit().single_gpu(), 1);
     let m = uniform_map(32, Precision::Fp16);
-    for (label, s) in [("ttc", Strategy::Ttc), ("auto_stc", Strategy::Auto)] {
+    for (label, s) in [("ttc", WirePolicy::Ttc), ("auto_stc", WirePolicy::Auto)] {
         g.bench_with_input(BenchmarkId::from_parameter(label), &s, |b, &s| {
             b.iter(|| {
                 simulate_cholesky(
@@ -104,7 +104,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
                     &cluster,
                     CholeskySimOptions {
                         nb: 2048,
-                        strategy: Strategy::Auto,
+                        strategy: WirePolicy::Auto,
                     },
                 )
             })
@@ -123,7 +123,7 @@ fn bench_priority_policy(c: &mut Criterion) {
     let m = uniform_map(40, Precision::Fp64);
     let opts = CholeskySimOptions {
         nb: 2048,
-        strategy: Strategy::Auto,
+        strategy: WirePolicy::Auto,
     };
     let (tasks, initial) = build_sim_tasks(&m, &cluster, opts);
     let mut fifo = tasks.clone();

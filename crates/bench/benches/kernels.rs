@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_kernels::{
-    blas, gemm_tile, potrf_tile, reference_gemm_nt_f64, reference_syrk_ln_f64, syrk_tile, trsm_tile,
+    blas, gemm_tile_ws, potrf_tile_ws, reference_gemm_nt_f64, reference_syrk_ln_f64, syrk_tile_ws,
+    trsm_tile_ws, Workspace,
 };
 use mixedp_tile::Tile;
 
@@ -52,6 +53,7 @@ fn bench_gemm_precisions(c: &mut Criterion) {
     let a = rand_tile(n, n, 1);
     let b = rand_tile(n, n, 2);
     g.throughput(Throughput::Elements((2 * n * n * n) as u64));
+    let mut ws = Workspace::new();
     for p in [
         Precision::Fp64,
         Precision::Fp32,
@@ -62,7 +64,7 @@ fn bench_gemm_precisions(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(p.label()), &p, |bch, &p| {
             bch.iter(|| {
                 let mut cm = Tile::zeros(n, n, StoragePrecision::F64);
-                gemm_tile(p, &a, &b, &mut cm);
+                gemm_tile_ws(p, &a, &b, &mut cm, &mut ws, true);
                 cm
             })
         });
@@ -75,34 +77,35 @@ fn bench_panel_kernels(c: &mut Criterion) {
     g.sample_size(10);
     let n = 128;
     let spd = spd_tile(n);
+    let mut ws = Workspace::new();
     g.bench_function("potrf_fp64", |bch| {
         bch.iter(|| {
             let mut t = spd.clone();
-            potrf_tile(&mut t).unwrap();
+            potrf_tile_ws(&mut t, &mut ws, true).unwrap();
             t
         })
     });
     let mut l = spd.clone();
-    potrf_tile(&mut l).unwrap();
+    potrf_tile_ws(&mut l, &mut ws, true).unwrap();
     let panel = rand_tile(n, n, 3);
     g.bench_function("trsm_fp64", |bch| {
         bch.iter(|| {
             let mut b = panel.clone();
-            trsm_tile(Precision::Fp64, &l, &mut b);
+            trsm_tile_ws(Precision::Fp64, &l, &mut b, &mut ws, true);
             b
         })
     });
     g.bench_function("trsm_fp32", |bch| {
         bch.iter(|| {
             let mut b = panel.clone();
-            trsm_tile(Precision::Fp32, &l, &mut b);
+            trsm_tile_ws(Precision::Fp32, &l, &mut b, &mut ws, true);
             b
         })
     });
     g.bench_function("syrk_fp64", |bch| {
         bch.iter(|| {
             let mut cm = spd.clone();
-            syrk_tile(&panel, &mut cm);
+            syrk_tile_ws(&panel, &mut cm, &mut ws, true);
             cm
         })
     });

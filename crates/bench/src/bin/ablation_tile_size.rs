@@ -10,7 +10,7 @@
 //!       [--matrix=98304]`
 
 use mixedp_bench::Args;
-use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, Strategy};
+use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, WirePolicy};
 use mixedp_fp::Precision;
 use mixedp_gpusim::{ClusterSpec, NodeSpec};
 
@@ -35,7 +35,7 @@ fn main() {
                 &cluster,
                 CholeskySimOptions {
                     nb,
-                    strategy: Strategy::Auto,
+                    strategy: WirePolicy::Auto,
                 },
             )
         };

@@ -1,23 +1,23 @@
 //! Scheduler performance snapshot: emits `BENCH_scheduler.json` so changes
-//! to the task runtime can be tracked against the single-heap baseline it
-//! replaced.
+//! to the task runtime can be tracked.
 //!
 //! Measures:
-//!   * dispatch overhead (ns/task) on empty-body DAGs at 8 workers — the
-//!     work-stealing scheduler vs `execute_parallel_heap_baseline` (the
-//!     retained pre-work-stealing executor), on both a flat 1-deep graph
-//!     (pure queue contention) and the Cholesky DAG (dependency release
-//!     traffic);
+//!   * dispatch overhead (ns/task) of the work-stealing scheduler on
+//!     empty-body DAGs at 8 workers, on both a flat 1-deep graph (pure
+//!     queue contention) and the Cholesky DAG (dependency release traffic);
 //!   * worker occupancy on the Cholesky DAG at `nt ∈ {8, 16, 32}` with
 //!     synthetic task durations proportional to the kernel cost weights,
 //!     plus the steal / park / wake / affinity counters of the run.
 //!
-//! Occupancy is compared old-vs-new at `min(workers, host CPUs)` workers:
-//! with more threads than cores, the span clock measures how often the OS
-//! preempts a thread mid-task (the baseline's `notify_all` herd keeps all
-//! threads mid-span and *looks* busier while finishing no sooner), not how
-//! well the scheduler feeds workers. The counters still come from the full
-//! `--workers` run, where stealing is actually exercised.
+//! Occupancy is measured at `min(workers, host CPUs)` workers: with more
+//! threads than cores, the span clock measures how often the OS preempts a
+//! thread mid-task, not how well the scheduler feeds workers. The counters
+//! still come from the full `--workers` run, where stealing is actually
+//! exercised.
+//!
+//! The single-heap executor the work-stealing scheduler replaced is gone;
+//! its last measured numbers are copied into the JSON as the frozen
+//! `heap_baseline_frozen` field, for reference only.
 //!
 //! Run: `cargo run --release -p mixedp-bench --bin bench_scheduler`
 //! Options: `--workers=8 --reps=5 --quick --out=BENCH_scheduler.json`
@@ -26,38 +26,36 @@ use mixedp_bench::timing::{median_secs, min_secs, scan_json_f64, spin};
 use mixedp_bench::Args;
 use mixedp_core::factorize::{build_dag, kernel_cost, DEFAULT_KERNEL_COSTS};
 use mixedp_obs as obs;
-use mixedp_runtime::{execute_parallel, execute_parallel_heap_baseline, ExecutionTrace, TaskGraph};
+use mixedp_runtime::{execute_parallel, ExecutionTrace, TaskGraph};
+
+/// The last measurement of the retired single-heap executor (one global
+/// `Mutex<BinaryHeap>` ready queue, `notify_all` wake-ups), from the
+/// committed quick-mode snapshot on a 1-CPU host: dispatch ns/task and
+/// occupancy at 1 worker. Reported as-is; never re-measured.
+const HEAP_BASELINE_FROZEN: &str = "{\"quick\": true, \"host_cpus\": 1, \"flat_tasks\": 4000, \"flat_ns_per_task\": 228.2, \"cholesky_dispatch_nt\": 24, \"cholesky_ns_per_task\": 418.7, \"occupancy\": {\"nt8\": 0.9392, \"nt16\": 0.9709, \"nt32\": 0.9608}}";
 
 struct DispatchResult {
     tasks: usize,
     ns_worksteal: f64,
-    ns_baseline: f64,
 }
 
-/// Time both executors over an empty-body graph: all measured time is
+/// Time the scheduler over an empty-body graph: all measured time is
 /// scheduler overhead (queue ops, dependency release, wake-ups).
 fn dispatch_overhead(graph: &TaskGraph, workers: usize, reps: usize) -> DispatchResult {
     let n = graph.len();
     let t_ws = median_secs(reps, || {
         execute_parallel(graph, workers, |_| {}).unwrap();
     });
-    let t_heap = median_secs(reps, || {
-        execute_parallel_heap_baseline(graph, workers, |_| {}).unwrap();
-    });
     DispatchResult {
         tasks: n,
         ns_worksteal: t_ws * 1e9 / n as f64,
-        ns_baseline: t_heap * 1e9 / n as f64,
     }
 }
 
 fn json_dispatch(r: &DispatchResult) -> String {
     format!(
-        "{{\"tasks\": {}, \"ns_per_task_worksteal\": {:.1}, \"ns_per_task_heap_baseline\": {:.1}, \"speedup\": {:.3}}}",
-        r.tasks,
-        r.ns_worksteal,
-        r.ns_baseline,
-        r.ns_baseline / r.ns_worksteal
+        "{{\"tasks\": {}, \"ns_per_task_worksteal\": {:.1}}}",
+        r.tasks, r.ns_worksteal
     )
 }
 
@@ -65,7 +63,6 @@ struct OccupancyResult {
     nt: usize,
     tasks: usize,
     occupancy: f64,
-    occupancy_baseline: f64,
     trace: ExecutionTrace,
 }
 
@@ -94,15 +91,8 @@ fn main() {
         .unwrap()
         .total_stats();
     println!(
-        "flat {:>6} tasks   worksteal {:>8.1} ns/task   heap baseline {:>8.1} ns/task   ({:.2}x)   steals {} (tasks {}) failed {} parks {}",
-        flat_r.tasks,
-        flat_r.ns_worksteal,
-        flat_r.ns_baseline,
-        flat_r.ns_baseline / flat_r.ns_worksteal,
-        s.steals,
-        s.stolen_tasks,
-        s.failed_steals,
-        s.parks
+        "flat {:>6} tasks   worksteal {:>8.1} ns/task   steals {} (tasks {}) failed {} parks {}",
+        flat_r.tasks, flat_r.ns_worksteal, s.steals, s.stolen_tasks, s.failed_steals, s.parks
     );
 
     // --- dispatch overhead: Cholesky DAG (dependency release traffic) ----
@@ -110,11 +100,8 @@ fn main() {
     let dag = build_dag(chol_nt);
     let chol_r = dispatch_overhead(&dag.graph, workers, reps);
     println!(
-        "chol nt={chol_nt} {:>5} tasks   worksteal {:>8.1} ns/task   heap baseline {:>8.1} ns/task   ({:.2}x)",
-        chol_r.tasks,
-        chol_r.ns_worksteal,
-        chol_r.ns_baseline,
-        chol_r.ns_baseline / chol_r.ns_worksteal
+        "chol nt={chol_nt} {:>5} tasks   worksteal {:>8.1} ns/task",
+        chol_r.tasks, chol_r.ns_worksteal
     );
 
     // --- fault-tolerance wrapper overhead vs the committed snapshot ------
@@ -213,15 +200,11 @@ fn main() {
         let occ = execute_parallel(&dag.graph, occ_workers, |id| spin(costs[id]))
             .unwrap()
             .occupancy();
-        let base = execute_parallel_heap_baseline(&dag.graph, occ_workers, |id| spin(costs[id]))
-            .unwrap()
-            .occupancy();
         let s = trace.total_stats();
         println!(
-            "occupancy nt={nt:<3} {:>5} tasks   {:>5.1}% (baseline {:>5.1}%, {occ_workers} workers)   steals {:>5} (tasks {:>5})   parks {:>4}   wakes {:>4}   affinity {:>5}",
+            "occupancy nt={nt:<3} {:>5} tasks   {:>5.1}% ({occ_workers} workers)   steals {:>5} (tasks {:>5})   parks {:>4}   wakes {:>4}   affinity {:>5}",
             dag.graph.len(),
             100.0 * occ,
-            100.0 * base,
             s.steals,
             s.stolen_tasks,
             s.parks,
@@ -232,7 +215,6 @@ fn main() {
             nt,
             tasks: dag.graph.len(),
             occupancy: occ,
-            occupancy_baseline: base,
             trace,
         });
     }
@@ -264,11 +246,10 @@ fn main() {
         let s = r.trace.total_stats();
         let comma = if i + 1 == occ_results.len() { "" } else { "," };
         json.push_str(&format!(
-            "    {{\"nt\": {}, \"tasks\": {}, \"occupancy\": {:.4}, \"occupancy_heap_baseline\": {:.4}, \"steals\": {}, \"stolen_tasks\": {}, \"failed_steals\": {}, \"local_pops\": {}, \"parks\": {}, \"wakes\": {}, \"affinity_dispatches\": {}}}{}\n",
+            "    {{\"nt\": {}, \"tasks\": {}, \"occupancy\": {:.4}, \"steals\": {}, \"stolen_tasks\": {}, \"failed_steals\": {}, \"local_pops\": {}, \"parks\": {}, \"wakes\": {}, \"affinity_dispatches\": {}}}{}\n",
             r.nt,
             r.tasks,
             r.occupancy,
-            r.occupancy_baseline,
             s.steals,
             s.stolen_tasks,
             s.failed_steals,
@@ -279,7 +260,10 @@ fn main() {
             comma
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"heap_baseline_frozen\": {HEAP_BASELINE_FROZEN}\n}}\n"
+    ));
     std::fs::write(&out, json).expect("write BENCH_scheduler.json");
     println!("wrote {out}");
 }

@@ -12,7 +12,7 @@ use mixedp_bench::Args;
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_gpusim::{kernel_time_s, GpuGeneration, SimKernel};
 use mixedp_kernels::mp::gemm_tile_fp8;
-use mixedp_kernels::{gemm_relative_error, gemm_tile};
+use mixedp_kernels::{gemm_relative_error, gemm_tile_ws, Workspace};
 use mixedp_tile::Tile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,6 +28,7 @@ fn main() {
         print!(" {lbl:>12}");
     }
     println!();
+    let mut ws = Workspace::new();
     let mut n = 128;
     while n <= nmax {
         let a = Tile::from_f64(
@@ -47,11 +48,11 @@ fn main() {
             StoragePrecision::F64,
         );
         let mut c_ref = Tile::zeros(n, n, StoragePrecision::F64);
-        gemm_tile(Precision::Fp64, &a, &b, &mut c_ref);
+        gemm_tile_ws(Precision::Fp64, &a, &b, &mut c_ref, &mut ws, true);
         print!("{n:>6}");
         for p in [Precision::Fp32, Precision::Fp16x32, Precision::Fp16] {
             let mut c = Tile::zeros(n, n, StoragePrecision::F64);
-            gemm_tile(p, &a, &b, &mut c);
+            gemm_tile_ws(p, &a, &b, &mut c, &mut ws, true);
             print!(" {:>12.3e}", gemm_relative_error(&c, &c_ref));
         }
         let mut c8 = Tile::zeros(n, n, StoragePrecision::F64);

@@ -10,7 +10,7 @@
 //!       [--nb=2048] [--bins=30] [--scale=1]`
 
 use mixedp_bench::{approx_precision_map, App, Args};
-use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, Strategy};
+use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, WirePolicy};
 use mixedp_fp::Precision;
 use mixedp_gpusim::{ClusterSpec, GpuGeneration, NodeSpec, SimReport};
 
@@ -60,7 +60,7 @@ fn main() {
 
         let opts = CholeskySimOptions {
             nb,
-            strategy: Strategy::Auto,
+            strategy: WirePolicy::Auto,
         };
         let fp64 = simulate_cholesky(&uniform_map(nt, Precision::Fp64), &cluster, opts);
         report_line("FP64", &fp64, spec.tdp_watts, bins);

@@ -13,7 +13,7 @@
 use mixedp_bench::Args;
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_gpusim::{convert_time_s, kernel_time_s, GpuGeneration, SimKernel};
-use mixedp_kernels::{gemm_relative_error, gemm_tile};
+use mixedp_kernels::{gemm_relative_error, gemm_tile_ws, Workspace};
 use mixedp_tile::Tile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,16 +44,17 @@ fn main() {
         print!(" {:>12}", p.label());
     }
     println!();
+    let mut ws = Workspace::new();
     let mut n = 128;
     while n <= nmax {
         let a = rand_tile(n, n, &mut rng);
         let b = rand_tile(n, n, &mut rng);
         let mut c_ref = Tile::zeros(n, n, StoragePrecision::F64);
-        gemm_tile(Precision::Fp64, &a, &b, &mut c_ref);
+        gemm_tile_ws(Precision::Fp64, &a, &b, &mut c_ref, &mut ws, true);
         print!("{n:>6}");
         for &p in PRECISIONS.iter().skip(1) {
             let mut c = Tile::zeros(n, n, StoragePrecision::F64);
-            gemm_tile(p, &a, &b, &mut c);
+            gemm_tile_ws(p, &a, &b, &mut c, &mut ws, true);
             print!(" {:>12.3e}", gemm_relative_error(&c, &c_ref));
         }
         println!();

@@ -7,7 +7,7 @@
 //!       [--max-nt=40] [--nb=2048]`
 
 use mixedp_bench::Args;
-use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, Strategy};
+use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, WirePolicy};
 use mixedp_fp::Precision;
 use mixedp_gpusim::{ClusterSpec, GpuGeneration, NodeSpec};
 
@@ -44,7 +44,7 @@ fn main() {
         let mut nt = 8;
         while nt <= max_nt {
             let n = nt * nb;
-            let run = |p: Precision, s: Strategy| {
+            let run = |p: Precision, s: WirePolicy| {
                 simulate_cholesky(
                     &uniform_map(nt, p),
                     &cluster,
@@ -52,12 +52,12 @@ fn main() {
                 )
                 .tflops()
             };
-            let fp64 = run(Precision::Fp64, Strategy::Ttc);
-            let fp32 = run(Precision::Fp32, Strategy::Ttc);
-            let h32_ttc = run(Precision::Fp16x32, Strategy::Ttc);
-            let h32_stc = run(Precision::Fp16x32, Strategy::Auto);
-            let h16_ttc = run(Precision::Fp16, Strategy::Ttc);
-            let h16_stc = run(Precision::Fp16, Strategy::Auto);
+            let fp64 = run(Precision::Fp64, WirePolicy::Ttc);
+            let fp32 = run(Precision::Fp32, WirePolicy::Ttc);
+            let h32_ttc = run(Precision::Fp16x32, WirePolicy::Ttc);
+            let h32_stc = run(Precision::Fp16x32, WirePolicy::Auto);
+            let h16_ttc = run(Precision::Fp16, WirePolicy::Ttc);
+            let h16_stc = run(Precision::Fp16, WirePolicy::Auto);
             let best_speedup = (h32_stc / h32_ttc).max(h16_stc / h16_ttc);
             println!(
                 "{n:>8} {fp64:>9.2} {fp32:>9.2} {h32_ttc:>11.2} {h32_stc:>11.2} {h16_ttc:>9.2} {h16_stc:>9.2} {best_speedup:>8.2}x"
@@ -71,7 +71,7 @@ fn main() {
             &cluster,
             CholeskySimOptions {
                 nb,
-                strategy: Strategy::Auto,
+                strategy: WirePolicy::Auto,
             },
         )
         .tflops();
@@ -80,7 +80,7 @@ fn main() {
             &cluster,
             CholeskySimOptions {
                 nb,
-                strategy: Strategy::Auto,
+                strategy: WirePolicy::Auto,
             },
         )
         .tflops();

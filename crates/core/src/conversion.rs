@@ -31,17 +31,36 @@ use mixedp_fp::{comm_of_storage, comm_requirement, higher_comm, CommPrecision};
 use mixedp_kernels::trsm_effective_precision;
 use mixedp_obs as obs;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
-/// Conversion strategy selection for a whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Strategy {
-    /// Always receiver-side conversion: ship storage precision (the
-    /// baseline of \[18\], \[38\]; the lower bound in Fig 8).
+/// Wire-precision policy for every payload a run ships between owners —
+/// the numerical distributed engine and the simulator share it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WirePolicy {
+    /// Ship storage precision, receiver converts (TTC): lossless on the
+    /// wire. The baseline of \[18\], \[38\]; the lower bound in Fig 8.
     Ttc,
     /// The automated plan of Algorithm 2 (STC wherever beneficial; the
     /// paper's contribution — upper curve in Fig 8).
     Auto,
+    /// Always ship FP16 (the §VI strawman: "consistently downgrading to the
+    /// lowest precision ... might also unnecessarily compromise the
+    /// accuracy").
+    AlwaysLowest,
+}
+
+/// Wire precision of broadcasts issued from tile `(i, j)` under `policy`.
+pub fn wire_of(
+    plan: &ConversionPlan,
+    pmap: &PrecisionMap,
+    policy: WirePolicy,
+    i: usize,
+    j: usize,
+) -> CommPrecision {
+    match policy {
+        WirePolicy::Ttc => comm_of_storage(pmap.storage(i, j)),
+        WirePolicy::Auto => plan.comm(i, j),
+        WirePolicy::AlwaysLowest => CommPrecision::Fp16,
+    }
 }
 
 /// The planner output: per-tile communication precision plus the STC/TTC

@@ -1,10 +1,14 @@
 //! Distributed-memory numerical execution: Algorithm 1 with a *real wire* —
 //! packed byte payloads, rank-level messages, and tree broadcasts.
 //!
-//! The shared-memory factorization ([`crate::factorize`]) models the kernel
-//! arithmetic but not the communications. Here tiles are owned by ranks of
-//! a 2D block-cyclic [`Grid2d`] (owner-computes), and every dependency that
-//! crosses ranks travels as an actual [`crate::wire`] message:
+//! The same engine as shared memory ([`crate::factorize`]) runs the DAG —
+//! same scheduler, kernels and STC cache; shared memory is simply the 1×1
+//! grid. Here tiles are owned by ranks of a 2D block-cyclic [`Grid2d`]
+//! (owner-computes), and every dependency that crosses ranks travels as an
+//! actual [`crate::wire`] message into a per-(tile, rank) inbox slot, which
+//! the consuming task reads in place of the owner's tile. `POTRF(k)` ships
+//! its one-frame `L_kk` itself; one broadcast node per step ships panel
+//! column `k` after its TRSMs and before the step's trailing updates:
 //!
 //! * **Fused convert-and-pack** — the owner streams each broadcast tile
 //!   straight into a little-endian byte buffer at its wire precision
@@ -21,7 +25,7 @@
 //!   ([`crate::wire::broadcast_hops`]) instead of `D` serialized sends from
 //!   the owner; [`DistStats`] reports the modeled NIC time both ways.
 //!
-//! Wire precisions come from the conversion plan:
+//! Wire precisions come from the conversion plan ([`WirePolicy`]):
 //!
 //! * [`WirePolicy::Ttc`] — ship storage precision: cross-rank payloads are
 //!   bit-identical to the owner's tile (storage quantization is the
@@ -38,33 +42,25 @@
 //! The `ext_stc_accuracy` binary quantifies the three against each other;
 //! `bench_wire` measures the engine itself.
 
-use crate::conversion::{plan_conversions, ConversionPlan};
+use crate::conversion::{plan_conversions, wire_of, ConversionPlan, WirePolicy};
+use crate::factorize::{
+    lock_pt, read_pt, run_attempt, single_shot_options, ExecDag, DEFAULT_KERNEL_COSTS,
+};
 use crate::precision_map::PrecisionMap;
 use crate::wire::{
     begin_message, broadcast_hops, broadcast_rounds, framed_tile_bytes, packed_bytes, push_frame,
     seal_message, unpack_message, FrameMeta, Packing, FRAME_HEADER_BYTES, MSG_HEADER_BYTES,
 };
-use mixedp_fp::{comm_of_storage, CommPrecision};
+use mixedp_fp::comm_of_storage;
 use mixedp_gpusim::model::link_time_s;
 use mixedp_gpusim::NodeSpec;
-use mixedp_kernels::{
-    blas::NotSpd, gemm_tile, potrf_tile, syrk_tile, tile_is_finite, trsm_tile, Workspace,
-};
+use mixedp_kernels::{blas::NotSpd, tile_is_finite, Workspace};
 use mixedp_obs as obs;
 use mixedp_runtime::{FaultPlan, RetryPolicy, WireFault};
 use mixedp_tile::{Grid2d, SymmTileMatrix, Tile};
-use std::collections::{BTreeMap, HashMap};
-
-/// Wire-precision policy for cross-rank payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WirePolicy {
-    /// Ship storage precision (receiver converts): lossless on the wire.
-    Ttc,
-    /// Algorithm 2's automated plan (STC where beneficial).
-    Auto,
-    /// Always ship FP16 (the §VI strawman).
-    AlwaysLowest,
-}
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 /// Communication statistics of a distributed numerical run. Byte counts
 /// are *measured buffer lengths* of the packed messages, not arithmetic
@@ -186,21 +182,6 @@ impl std::fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-/// Wire precision for broadcasts from tile `(i, j)` under a policy.
-fn wire_of(
-    plan: &ConversionPlan,
-    pmap: &PrecisionMap,
-    policy: WirePolicy,
-    i: usize,
-    j: usize,
-) -> CommPrecision {
-    match policy {
-        WirePolicy::Ttc => comm_of_storage(pmap.storage(i, j)),
-        WirePolicy::Auto => plan.comm(i, j),
-        WirePolicy::AlwaysLowest => CommPrecision::Fp16,
-    }
-}
-
 /// One tile scheduled for broadcast in the current factorization step.
 #[derive(Debug, Clone, Copy)]
 struct Bcast {
@@ -212,101 +193,211 @@ struct Bcast {
     ndests: usize,
 }
 
-/// Distributed mixed-precision factorization over `grid`. Serial,
-/// deterministic execution in right-looking phase order (a topological
-/// order of the Algorithm 1 DAG); cross-rank reads are wire-quantized per
-/// `policy`.
-///
-/// Thin fault-free wrapper over [`factorize_mp_distributed_ft`].
-pub fn factorize_mp_distributed(
-    a: &mut SymmTileMatrix,
-    pmap: &PrecisionMap,
-    grid: &Grid2d,
-    policy: WirePolicy,
-) -> Result<DistStats, NotSpd> {
-    match factorize_mp_distributed_ft(
-        a,
-        pmap,
-        grid,
-        policy,
-        &FaultPlan::none(),
-        &RetryPolicy::no_retry(),
-    ) {
-        Ok(s) => Ok(s),
-        Err(DistError::NotSpd(e)) => Err(e),
-        Err(e @ DistError::WireFailed { .. }) => {
-            unreachable!("a fault-free wire cannot fail: {e}")
-        }
-    }
+/// Lower-packed index of tile `(i, j)`.
+fn idx(i: usize, j: usize) -> usize {
+    i * (i + 1) / 2 + j
 }
 
-/// [`factorize_mp_distributed`] with simulated wire faults and bounded
-/// retransmission.
-///
-/// Every link transmission (tree hops included) is probed against `faults`
-/// (deterministically, from the message sequence number and the link's
-/// endpoint ranks, plus the attempt number):
-///
-/// * [`WireFault::Drop`] — the message never arrives; the receiver waits a
-///   jittered exponential backoff (accounted in [`DistStats::backoff_ns`],
-///   never actually slept — this is a simulation) and requests a
-///   retransmit.
-/// * [`WireFault::Garble`] — the message arrives corrupted; the receiver's
-///   integrity check (typed wire decode + [`tile_is_finite`] on every
-///   frame) rejects it and requests a retransmit.
-///
-/// Each retransmission is a real message (counted in `messages` /
-/// `wire_bytes`), so fault recovery shows up as communication overhead.
-/// When a message fails `retry.max_attempts` consecutive transmissions the
-/// run aborts with [`DistError::WireFailed`] naming the payload and the
-/// starved rank. Because rate faults hash the attempt number, retransmits
-/// of a dropped message usually succeed — and a recovered run's numerical
-/// result is **bit-identical** to the fault-free run, since retransmission
-/// resends the same deterministic packed payload.
-pub fn factorize_mp_distributed_ft(
-    a: &mut SymmTileMatrix,
-    pmap: &PrecisionMap,
-    grid: &Grid2d,
+/// Rank-owned placement of an attempt's tiles on a grid with more than one
+/// rank: the owner map, the inbox, and the wire that fills it.
+pub(crate) struct Ranks<'a> {
+    grid: &'a Grid2d,
+    pmap: &'a PrecisionMap,
+    plan: ConversionPlan,
     policy: WirePolicy,
-    faults: &FaultPlan,
-    retry: &RetryPolicy,
-) -> Result<DistStats, DistError> {
-    let nt = a.nt();
-    assert_eq!(pmap.nt(), nt);
-    let nb = a.nb();
-    let plan = plan_conversions(pmap);
-    let nranks = grid.nranks();
-    let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
+    faults: &'a FaultPlan,
+    retry: &'a RetryPolicy,
+    /// `inbox[tile * nranks + rank]`: `rank`'s received copy of a
+    /// lower-packed tile. Only final tiles are communicated (a panel tile
+    /// once its TRSM ran, `L_kk` once its POTRF ran), each once, so a slot
+    /// is written at most once and never invalidated. A slot is a cell like
+    /// the owner's, so a task reads either the same way.
+    inbox: Vec<OnceLock<RwLock<Tile>>>,
+    log: Mutex<WireLog>,
+    halted: AtomicBool,
+}
 
-    let mut tiles: Vec<Tile> = Vec::with_capacity(nt * (nt + 1) / 2);
-    for i in 0..nt {
-        for j in 0..=i {
-            tiles.push(a.tile(i, j).clone());
+/// What the wire has done so far. Broadcasts run in DAG order —
+/// `POTRF(k)` → panel broadcast `k` → `POTRF(k+1)` is a dependency chain —
+/// so the message sequence, and with it every fault-site key, is the same
+/// whatever the worker count.
+#[derive(Default)]
+struct WireLog {
+    stats: DistStats,
+    seq: u64,
+    error: Option<DistError>,
+}
+
+impl<'a> Ranks<'a> {
+    fn new(
+        grid: &'a Grid2d,
+        pmap: &'a PrecisionMap,
+        policy: WirePolicy,
+        faults: &'a FaultPlan,
+        retry: &'a RetryPolicy,
+    ) -> Self {
+        let nt = pmap.nt();
+        Ranks {
+            grid,
+            pmap,
+            plan: plan_conversions(pmap),
+            policy,
+            faults,
+            retry,
+            inbox: (0..nt * (nt + 1) / 2 * grid.nranks())
+                .map(|_| OnceLock::new())
+                .collect(),
+            log: Mutex::new(WireLog::default()),
+            halted: AtomicBool::new(false),
         }
     }
-    // Received copies: (consumer_rank, tile_index) → wire-degraded tile,
-    // valid for the current version (panel tiles are final once TRSM ran,
-    // and diagonal L_kk is final once POTRF ran — the only communicated
-    // tiles, so no invalidation is needed).
-    let mut inbox: HashMap<(usize, usize), Tile> = HashMap::new();
-    let mut stats = DistStats::default();
-    // Per-run workspace: the packed-message byte scratch (PR-1 pattern —
-    // reused across every message, allocation-free once warmed).
-    let mut ws = Workspace::new();
-    let mut msg_seq: u64 = 0;
-    // NIC link model for the flat-vs-tree time accounting.
-    let nic = NodeSpec::summit();
-    let link = |bytes: u64| link_time_s(bytes, nic.nic_gbs, nic.nic_latency_s);
 
-    // Run the broadcasts of one factorization step: per-tile destination
-    // dedup, binomial tree routing, and link-level coalescing (all frames
-    // crossing the same link ride one message).
-    let mut run_broadcasts = |stats: &mut DistStats,
-                              inbox: &mut HashMap<(usize, usize), Tile>,
-                              tiles: &[Tile],
-                              bcasts: &[Bcast],
-                              dest_arena: &[usize]|
-     -> Result<(), DistError> {
+    /// The rank owning tile `(i, j)` and running the tasks that write it.
+    pub(crate) fn owner(&self, (i, j): (usize, usize)) -> usize {
+        self.grid.rank_of(i, j)
+    }
+
+    /// `rank`'s received copy of tile `(i, j)`.
+    pub(crate) fn received(&self, (i, j): (usize, usize), rank: usize) -> &RwLock<Tile> {
+        self.inbox[idx(i, j) * self.grid.nranks() + rank]
+            .get()
+            .expect("broadcast must have delivered every consumed tile")
+    }
+
+    pub(crate) fn halted(&self) -> bool {
+        self.halted.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn halt(&self) {
+        self.halted.store(true, Ordering::Release);
+    }
+
+    /// The wire's statistics, or the broadcast failure that halted the run.
+    fn finish(self) -> Result<DistStats, DistError> {
+        let log = self.log.into_inner().unwrap_or_else(|e| e.into_inner());
+        match log.error {
+            Some(e) => Err(e),
+            None => Ok(log.stats),
+        }
+    }
+
+    /// Per-consumer-task TTC baseline: what a wire with no rank dedup and
+    /// no coalescing would ship for one cross-rank input.
+    fn count_consumer_fetch(
+        &self,
+        stats: &mut DistStats,
+        cells: &[RwLock<Tile>],
+        i: usize,
+        j: usize,
+    ) {
+        let t = read_pt(&cells[idx(i, j)]);
+        let packing = if i == j {
+            Packing::Lower
+        } else {
+            Packing::Full
+        };
+        let ttc_wire = comm_of_storage(self.pmap.storage(i, j));
+        stats.consumer_fetches += 1;
+        stats.consumer_ttc_bytes += framed_tile_bytes(t.rows(), t.cols(), ttc_wire, packing) as u64;
+    }
+
+    /// Broadcast the factored `L_kk` to the TRSM owners of column `k`.
+    pub(crate) fn broadcast_diag(&self, k: usize, cells: &[RwLock<Tile>], ws: &mut Workspace) {
+        let nranks = self.grid.nranks();
+        let nt = self.pmap.nt();
+        let owner = self.owner((k, k));
+        let mut log = lock_pt(&self.log);
+        let mut need = vec![false; nranks];
+        for i in (k + 1)..nt {
+            let r = self.owner((i, k));
+            if r != owner {
+                need[r] = true;
+                self.count_consumer_fetch(&mut log.stats, cells, k, k);
+            }
+        }
+        let dests: Vec<usize> = (0..nranks).filter(|&r| need[r]).collect();
+        let bcast = [Bcast {
+            i: k,
+            j: k,
+            packing: Packing::Lower,
+            first_dest: 0,
+            ndests: dests.len(),
+        }];
+        self.run_broadcasts(&mut log, cells, &bcast, &dests, ws);
+    }
+
+    /// Broadcast panel column `k`, coalesced. Destination dedup: tile
+    /// `(i,k)` ships once per rank owning any of its SYRK/GEMM consumers,
+    /// never per consumer task.
+    pub(crate) fn broadcast_panel(&self, k: usize, cells: &[RwLock<Tile>], ws: &mut Workspace) {
+        let nranks = self.grid.nranks();
+        let nt = self.pmap.nt();
+        let mut log = lock_pt(&self.log);
+        let mut dest_arena: Vec<usize> = Vec::new();
+        let mut bcasts: Vec<Bcast> = Vec::new();
+        for i in (k + 1)..nt {
+            let owner = self.owner((i, k));
+            let mut need = vec![false; nranks];
+            let mut mark = |r: usize| {
+                if r != owner {
+                    need[r] = true;
+                }
+            };
+            mark(self.owner((i, i))); // SYRK(i,k)
+            for n in (k + 1)..i {
+                mark(self.owner((i, n))); // GEMM(i,n,k) reads (i,k)
+            }
+            for m in (i + 1)..nt {
+                mark(self.owner((m, i))); // GEMM(m,i,k) reads (i,k)
+            }
+            let first_dest = dest_arena.len();
+            dest_arena.extend((0..nranks).filter(|&r| need[r]));
+            bcasts.push(Bcast {
+                i,
+                j: k,
+                packing: Packing::Full,
+                first_dest,
+                ndests: dest_arena.len() - first_dest,
+            });
+        }
+        // Per-consumer baseline of the trailing update's panel reads.
+        for m in (k + 1)..nt {
+            if self.owner((m, m)) != self.owner((m, k)) {
+                self.count_consumer_fetch(&mut log.stats, cells, m, k);
+            }
+            for n in (k + 1)..m {
+                let r = self.owner((m, n));
+                if r != self.owner((m, k)) {
+                    self.count_consumer_fetch(&mut log.stats, cells, m, k);
+                }
+                if r != self.owner((n, k)) {
+                    self.count_consumer_fetch(&mut log.stats, cells, n, k);
+                }
+            }
+        }
+        self.run_broadcasts(&mut log, cells, &bcasts, &dest_arena, ws);
+    }
+
+    /// Run the broadcasts of one factorization step: per-tile destination
+    /// dedup, binomial tree routing, and link-level coalescing (all frames
+    /// crossing the same link ride one message). A message that fails its
+    /// whole retransmit budget is logged and halts the attempt.
+    fn run_broadcasts(
+        &self,
+        log: &mut WireLog,
+        cells: &[RwLock<Tile>],
+        bcasts: &[Bcast],
+        dest_arena: &[usize],
+        ws: &mut Workspace,
+    ) {
+        let (pmap, faults, retry) = (self.pmap, self.faults, self.retry);
+        let wire = |i: usize, j: usize| wire_of(&self.plan, pmap, self.policy, i, j);
+        let tile = |i: usize, j: usize| read_pt(&cells[idx(i, j)]);
+        // NIC link model for the flat-vs-tree time accounting.
+        let nic = NodeSpec::summit();
+        let link = |bytes: u64| link_time_s(bytes, nic.nic_gbs, nic.nic_latency_s);
+        let stats = &mut log.stats;
+
         // Bucket hops by link; BTreeMap iteration keeps the transmission
         // order (and thus the fault history) deterministic.
         let mut links: BTreeMap<(usize, usize), Vec<&Bcast>> = BTreeMap::new();
@@ -315,8 +406,8 @@ pub fn factorize_mp_distributed_ft(
             if dests.is_empty() {
                 continue;
             }
-            let t = &tiles[idx(b.i, b.j)];
-            let wire = wire_of(&plan, pmap, policy, b.i, b.j);
+            let t = tile(b.i, b.j);
+            let w = wire(b.i, b.j);
             stats.broadcasts += 1;
             // Rank-deduplicated TTC baseline: storage-precision payload,
             // same packing, once per destination rank.
@@ -324,36 +415,34 @@ pub fn factorize_mp_distributed_ft(
             stats.ttc_bytes +=
                 (packed_bytes(t.rows(), t.cols(), ttc_wire, b.packing) * dests.len()) as u64;
             // Modeled NIC time for this payload, flat vs tree.
-            let fb = framed_tile_bytes(t.rows(), t.cols(), wire, b.packing) as u64;
+            let fb = framed_tile_bytes(t.rows(), t.cols(), w, b.packing) as u64;
             stats.link_time_flat_s += dests.len() as f64 * link(fb);
             stats.link_time_tree_s += broadcast_rounds(dests.len() + 1) as f64 * link(fb);
-            let owner = grid.rank_of(b.i, b.j);
-            for hop in broadcast_hops(owner, dests) {
+            for hop in broadcast_hops(self.owner((b.i, b.j)), dests) {
                 links.entry((hop.from, hop.to)).or_default().push(b);
             }
         }
         for ((from, to), frames) in links {
             // Pack every frame crossing this link into one coalesced
             // message, straight from the tile buffers (fused
-            // convert-and-pack), in reusable byte scratch.
+            // convert-and-pack), in the worker's reusable byte scratch.
             let mut payload = 0u64;
             let buf: &[u8] = ws.wire.load(|v| {
                 begin_message(v);
                 for b in &frames {
-                    let t = &tiles[idx(b.i, b.j)];
-                    let wire = wire_of(&plan, pmap, policy, b.i, b.j);
-                    payload += packed_bytes(t.rows(), t.cols(), wire, b.packing) as u64;
-                    push_frame(v, b.i, b.j, t, wire, b.packing);
+                    let t = tile(b.i, b.j);
+                    let w = wire(b.i, b.j);
+                    payload += packed_bytes(t.rows(), t.cols(), w, b.packing) as u64;
+                    push_frame(v, b.i, b.j, &t, w, b.packing);
                 }
                 seal_message(v);
             });
-            let first_elem_bytes = wire_of(&plan, pmap, policy, frames[0].i, frames[0].j).bytes();
+            let first_elem_bytes = wire(frames[0].i, frames[0].j).bytes();
 
             // Receiver side: typed decode + finite-ness integrity check;
             // only a fully valid message is accepted into the inbox.
             let deliver = |bytes: &[u8]| -> Result<Vec<(FrameMeta, Tile)>, ()> {
-                let decoded =
-                    unpack_message(bytes, |i, j| tiles[idx(i, j)].storage()).map_err(|_| ())?;
+                let decoded = unpack_message(bytes, |i, j| tile(i, j).storage()).map_err(|_| ())?;
                 if decoded.iter().all(|(_, t)| tile_is_finite(t)) {
                     Ok(decoded)
                 } else {
@@ -361,8 +450,8 @@ pub fn factorize_mp_distributed_ft(
                 }
             };
 
-            let site = (msg_seq << 16) | ((to as u64) << 8) | from as u64;
-            msg_seq += 1;
+            let site = (log.seq << 16) | ((to as u64) << 8) | from as u64;
+            log.seq += 1;
             let mut attempt = 0u32;
             let received = loop {
                 attempt += 1;
@@ -411,160 +500,117 @@ pub fn factorize_mp_distributed_ft(
                 stats.retransmits += 1;
                 stats.backoff_ns += retry.backoff_ns(faults, site, attempt);
             };
-            match received {
-                Some(decoded) => {
-                    for (meta, t) in decoded {
-                        inbox.insert((to, idx(meta.i, meta.j)), t);
-                    }
-                }
-                None => {
-                    return Err(DistError::WireFailed {
-                        i: frames[0].i,
-                        j: frames[0].j,
-                        rank: to,
-                        attempts: attempt,
-                    });
-                }
-            }
-        }
-        Ok(())
-    };
-
-    // Fetch tile (si, sj) for a consumer task running on `rank`.
-    let fetch = |tiles: &[Tile],
-                 inbox: &HashMap<(usize, usize), Tile>,
-                 si: usize,
-                 sj: usize,
-                 rank: usize|
-     -> Tile {
-        if grid.rank_of(si, sj) == rank {
-            tiles[idx(si, sj)].clone()
-        } else {
-            inbox
-                .get(&(rank, idx(si, sj)))
-                .expect("broadcast must have delivered every consumed tile")
-                .clone()
-        }
-    };
-
-    // Per-consumer-task TTC baseline: what a wire with no rank dedup and no
-    // coalescing would ship for one cross-rank input.
-    let count_consumer_fetch =
-        |stats: &mut DistStats, tiles: &[Tile], si: usize, sj: usize, packing: Packing| {
-            let t = &tiles[idx(si, sj)];
-            let ttc_wire = comm_of_storage(pmap.storage(si, sj));
-            stats.consumer_fetches += 1;
-            stats.consumer_ttc_bytes +=
-                framed_tile_bytes(t.rows(), t.cols(), ttc_wire, packing) as u64;
-        };
-
-    for k in 0..nt {
-        // -- POTRF(k,k) on its owner ------------------------------------
-        let mut c = tiles[idx(k, k)].clone();
-        if potrf_tile(&mut c).is_err() {
-            return Err(DistError::NotSpd(NotSpd { column: k * nb }));
-        }
-        tiles[idx(k, k)] = c;
-
-        // -- broadcast L_kk to the TRSM owners of column k ---------------
-        let owner_kk = grid.rank_of(k, k);
-        let mut need = vec![false; nranks];
-        for i in (k + 1)..nt {
-            let r = grid.rank_of(i, k);
-            if r != owner_kk {
-                need[r] = true;
-                count_consumer_fetch(&mut stats, &tiles, k, k, Packing::Lower);
-            }
-        }
-        let diag_dests: Vec<usize> = (0..nranks).filter(|&r| need[r]).collect();
-        let diag_bcast = [Bcast {
-            i: k,
-            j: k,
-            packing: Packing::Lower,
-            first_dest: 0,
-            ndests: diag_dests.len(),
-        }];
-        run_broadcasts(&mut stats, &mut inbox, &tiles, &diag_bcast, &diag_dests)?;
-
-        // -- TRSM(i,k) for the whole panel -------------------------------
-        for i in (k + 1)..nt {
-            let rank = grid.rank_of(i, k);
-            let l = fetch(&tiles, &inbox, k, k, rank);
-            let mut b = tiles[idx(i, k)].clone();
-            trsm_tile(pmap.kernel(i, k), &l, &mut b);
-            tiles[idx(i, k)] = b;
-        }
-
-        // -- coalesced panel broadcast ----------------------------------
-        // Destination dedup: tile (i,k) ships once per rank owning any of
-        // its SYRK/GEMM consumers, never per consumer task.
-        let mut dest_arena: Vec<usize> = Vec::new();
-        let mut bcasts: Vec<Bcast> = Vec::new();
-        for i in (k + 1)..nt {
-            let owner = grid.rank_of(i, k);
-            let mut need = vec![false; nranks];
-            let mut mark = |r: usize| {
-                if r != owner {
-                    need[r] = true;
-                }
+            let Some(decoded) = received else {
+                log.error = Some(DistError::WireFailed {
+                    i: frames[0].i,
+                    j: frames[0].j,
+                    rank: to,
+                    attempts: attempt,
+                });
+                self.halt();
+                return;
             };
-            mark(grid.rank_of(i, i)); // SYRK(i,k)
-            for n in (k + 1)..i {
-                mark(grid.rank_of(i, n)); // GEMM(i,n,k) reads (i,k)
-            }
-            for m in (i + 1)..nt {
-                mark(grid.rank_of(m, i)); // GEMM(m,i,k) reads (i,k)
-            }
-            let first_dest = dest_arena.len();
-            dest_arena.extend((0..nranks).filter(|&r| need[r]));
-            bcasts.push(Bcast {
-                i,
-                j: k,
-                packing: Packing::Full,
-                first_dest,
-                ndests: dest_arena.len() - first_dest,
-            });
-        }
-        // Per-consumer baseline of the trailing update's panel reads.
-        for m in (k + 1)..nt {
-            if grid.rank_of(m, m) != grid.rank_of(m, k) {
-                count_consumer_fetch(&mut stats, &tiles, m, k, Packing::Full);
-            }
-            for n in (k + 1)..m {
-                let r = grid.rank_of(m, n);
-                if r != grid.rank_of(m, k) {
-                    count_consumer_fetch(&mut stats, &tiles, m, k, Packing::Full);
-                }
-                if r != grid.rank_of(n, k) {
-                    count_consumer_fetch(&mut stats, &tiles, n, k, Packing::Full);
-                }
-            }
-        }
-        run_broadcasts(&mut stats, &mut inbox, &tiles, &bcasts, &dest_arena)?;
-
-        // -- trailing update --------------------------------------------
-        for m in (k + 1)..nt {
-            let rank = grid.rank_of(m, m);
-            let p = fetch(&tiles, &inbox, m, k, rank);
-            let mut c = tiles[idx(m, m)].clone();
-            syrk_tile(&p, &mut c);
-            tiles[idx(m, m)] = c;
-            for n in (k + 1)..m {
-                let rank = grid.rank_of(m, n);
-                let pa = fetch(&tiles, &inbox, m, k, rank);
-                let pb = fetch(&tiles, &inbox, n, k, rank);
-                let mut c = tiles[idx(m, n)].clone();
-                gemm_tile(pmap.kernel(m, n), &pa, &pb, &mut c);
-                tiles[idx(m, n)] = c;
+            for (meta, t) in decoded {
+                let slot = &self.inbox[idx(meta.i, meta.j) * self.grid.nranks() + to];
+                assert!(slot.set(RwLock::new(t)).is_ok(), "tile received twice");
             }
         }
     }
+}
 
-    let mut it = tiles.into_iter();
-    for i in 0..nt {
-        for j in 0..=i {
-            *a.tile_mut(i, j) = it.next().unwrap().converted_to(pmap.storage(i, j));
+/// Distributed mixed-precision factorization over `grid`: the shared
+/// engine's scheduler and kernels, one worker per rank (capped at the
+/// host's parallelism), with cross-rank reads wire-quantized per `policy`.
+///
+/// Thin fault-free wrapper over [`factorize_mp_distributed_ft`].
+pub fn factorize_mp_distributed(
+    a: &mut SymmTileMatrix,
+    pmap: &PrecisionMap,
+    grid: &Grid2d,
+    policy: WirePolicy,
+) -> Result<DistStats, NotSpd> {
+    match factorize_mp_distributed_ft(
+        a,
+        pmap,
+        grid,
+        policy,
+        &FaultPlan::none(),
+        &RetryPolicy::no_retry(),
+    ) {
+        Ok(s) => Ok(s),
+        Err(DistError::NotSpd(e)) => Err(e),
+        Err(e @ DistError::WireFailed { .. }) => {
+            unreachable!("a fault-free wire cannot fail: {e}")
         }
+    }
+}
+
+/// [`factorize_mp_distributed`] with simulated wire faults and bounded
+/// retransmission.
+///
+/// Every link transmission (tree hops included) is probed against `faults`
+/// (deterministically, from the message sequence number and the link's
+/// endpoint ranks, plus the attempt number):
+///
+/// * [`WireFault::Drop`] — the message never arrives; the receiver waits a
+///   jittered exponential backoff (accounted in [`DistStats::backoff_ns`],
+///   never actually slept — this is a simulation) and requests a
+///   retransmit.
+/// * [`WireFault::Garble`] — the message arrives corrupted; the receiver's
+///   integrity check (typed wire decode + [`tile_is_finite`] on every
+///   frame) rejects it and requests a retransmit.
+///
+/// Each retransmission is a real message (counted in `messages` /
+/// `wire_bytes`), so fault recovery shows up as communication overhead.
+/// When a message fails `retry.max_attempts` consecutive transmissions the
+/// run aborts with [`DistError::WireFailed`] naming the payload and the
+/// starved rank. Because rate faults hash the attempt number, retransmits
+/// of a dropped message usually succeed — and a recovered run's numerical
+/// result is **bit-identical** to the fault-free run, since retransmission
+/// resends the same deterministic packed payload.
+///
+/// On any error `a` is left untouched.
+pub fn factorize_mp_distributed_ft(
+    a: &mut SymmTileMatrix,
+    pmap: &PrecisionMap,
+    grid: &Grid2d,
+    policy: WirePolicy,
+    faults: &FaultPlan,
+    retry: &RetryPolicy,
+) -> Result<DistStats, DistError> {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = grid.nranks().min(host);
+    factorize_on_grid(a, pmap, grid, policy, faults, retry, workers)
+}
+
+/// [`factorize_mp_distributed_ft`] on `workers` scheduler workers.
+fn factorize_on_grid(
+    a: &mut SymmTileMatrix,
+    pmap: &PrecisionMap,
+    grid: &Grid2d,
+    policy: WirePolicy,
+    faults: &FaultPlan,
+    retry: &RetryPolicy,
+    workers: usize,
+) -> Result<DistStats, DistError> {
+    let nt = a.nt();
+    assert_eq!(pmap.nt(), nt);
+    // One rank is shared memory: no broadcast nodes, no inbox.
+    let ranks = (grid.nranks() > 1).then(|| Ranks::new(grid, pmap, policy, faults, retry));
+    let dag = ExecDag::build(nt, &DEFAULT_KERNEL_COSTS, ranks.is_some());
+    let out = run_attempt(
+        a,
+        &dag,
+        pmap,
+        &single_shot_options(workers),
+        1,
+        ranks.as_ref(),
+    )
+    .unwrap_or_else(|e| panic!("worker panicked during factorization: {e}"));
+    let stats = ranks.map_or(Ok(DistStats::default()), Ranks::finish)?;
+    if let Some((id, _)) = out.first_failure() {
+        let (k, _) = dag.task(id).expect("only kernels break down").output_tile();
+        return Err(DistError::NotSpd(NotSpd { column: k * a.nb() }));
     }
     stats.publish_metrics();
     Ok(stats)
@@ -836,5 +882,108 @@ mod tests {
                 assert_eq!(r1.get(i, j), r2.get(i, j));
             }
         }
+    }
+
+    /// Every `get(i, j)` of the lower triangle, as raw bits.
+    fn bits(a: &SymmTileMatrix) -> Vec<u64> {
+        (0..a.n())
+            .flat_map(|i| (0..=i).map(move |j| (i, j)))
+            .map(|(i, j)| a.get(i, j).to_bits())
+            .collect()
+    }
+
+    /// The deterministic part of `DistStats` (everything but the modeled
+    /// float link times, which follow from the same counts).
+    fn counters(s: &DistStats) -> [u64; 12] {
+        [
+            s.messages,
+            s.wire_bytes,
+            s.payload_bytes,
+            s.frames,
+            s.broadcasts,
+            s.ttc_bytes,
+            s.consumer_ttc_bytes,
+            s.consumer_fetches,
+            s.dropped,
+            s.garbled,
+            s.retransmits,
+            s.backoff_ns,
+        ]
+    }
+
+    #[test]
+    fn worker_count_changes_neither_factor_nor_wire() {
+        // The wire events form a dependency chain (POTRF(k) → panel
+        // broadcast k → POTRF(k+1)), so message order and fault sites are
+        // the same on 1 and 4 workers — with and without faults.
+        let a0 = spd_matrix(96, 16);
+        let norms = tile_fro_norms(&a0);
+        let m = PrecisionMap::from_norms(&norms, 1e-6, &Precision::ADAPTIVE_SET);
+        let grid = Grid2d::new(2, 2);
+        let retry = RetryPolicy::default()
+            .with_max_attempts(10)
+            .with_backoff_base_ns(1_000);
+        let faulty = FaultPlan::seeded(42)
+            .with_wire_drop_rate(0.25)
+            .with_wire_garble_rate(0.15);
+        for policy in [WirePolicy::Ttc, WirePolicy::Auto, WirePolicy::AlwaysLowest] {
+            for faults in [FaultPlan::none(), faulty.clone()] {
+                let run = |workers: usize| {
+                    let mut a = a0.clone();
+                    let s = factorize_on_grid(&mut a, &m, &grid, policy, &faults, &retry, workers)
+                        .unwrap();
+                    (bits(&a), counters(&s), s.link_time_tree_s.to_bits())
+                };
+                let one = run(1);
+                assert!(one.1[0] > 0, "{policy:?}: the grid must communicate");
+                assert_eq!(one.1[8] > 0, !faults.is_noop(), "faults must drop messages");
+                assert_eq!(one, run(4), "{policy:?} faults={}", !faults.is_noop());
+            }
+        }
+    }
+
+    #[test]
+    fn exhausted_retransmit_leaves_the_matrix_untouched() {
+        // A broadcast that fails mid-factorization halts the attempt on
+        // every worker count: a typed error, no worker panic, and the
+        // caller's tiles exactly as they were.
+        let a0 = spd_matrix(64, 16);
+        let m = uniform_map(a0.nt(), Precision::Fp32);
+        let faults = FaultPlan::seeded(3).with_wire_drop_rate(0.6);
+        let retry = RetryPolicy::default().with_max_attempts(2);
+        let grid = Grid2d::new(2, 2);
+        for workers in [1, 4] {
+            let mut a = a0.clone();
+            let err =
+                factorize_on_grid(&mut a, &m, &grid, WirePolicy::Ttc, &faults, &retry, workers)
+                    .unwrap_err();
+            assert!(
+                matches!(err, DistError::WireFailed { attempts: 2, .. }),
+                "{err:?}"
+            );
+            assert_eq!(bits(&a), bits(&a0), "{workers} worker(s)");
+        }
+    }
+
+    #[test]
+    fn not_spd_is_typed_on_a_grid() {
+        let a0 = SymmTileMatrix::from_fn(
+            64,
+            16,
+            |i, j| {
+                if i == j {
+                    1.0 - (i / 40) as f64 * 2.0
+                } else {
+                    0.0
+                }
+            },
+            |_, _| StoragePrecision::F64,
+        );
+        let m = uniform_map(a0.nt(), Precision::Fp64);
+        let mut a = a0.clone();
+        let err =
+            factorize_mp_distributed(&mut a, &m, &Grid2d::new(2, 2), WirePolicy::Auto).unwrap_err();
+        assert_eq!(err.column, 32, "first breakdown is POTRF(2,2)");
+        assert_eq!(bits(&a), bits(&a0));
     }
 }

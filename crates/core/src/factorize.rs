@@ -9,6 +9,7 @@
 //! the factor and everything downstream (log-likelihoods, parameter
 //! estimates) carry genuine mixed-precision rounding.
 
+use crate::distributed::Ranks;
 use crate::precision_map::PrecisionMap;
 use mixedp_fp::Precision;
 use mixedp_kernels::{
@@ -22,7 +23,7 @@ use mixedp_runtime::{
     RetryPolicy, TaskGraph, TaskId, WorkerStats,
 };
 use mixedp_tile::{SymmTileMatrix, Tile};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Poison-tolerant locking for the tile cells and STC caches: a panicking
@@ -30,11 +31,11 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 /// surviving worker on a poisoned lock. Tile state after a mid-kernel panic
 /// is numerical garbage, not memory-unsafe — the recovery layers above
 /// (task retry, precision escalation) own correctness.
-fn lock_pt<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_pt<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn read_pt<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+pub(crate) fn read_pt<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -129,65 +130,118 @@ pub fn build_dag(nt: usize) -> CholeskyDag {
 /// writer of its output tile, so the work-stealing scheduler dispatches it
 /// to the worker whose cache is hot.
 pub fn build_dag_with_costs(nt: usize, costs: &KernelCosts) -> CholeskyDag {
-    let mut graph = TaskGraph::with_capacity(nt * nt * nt / 6 + nt * nt);
-    let mut tasks = Vec::new();
-    // last writer of each tile (lower-packed)
-    let mut last_write: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
-    let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
-    // the task that finalized panel tile (m, k) (its TRSM), for reader deps
-    let mut trsm_of: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
+    let ExecDag { graph, nodes } = ExecDag::build(nt, costs, false);
+    let tasks = nodes.into_iter().filter_map(Node::kernel).collect();
+    CholeskyDag { graph, tasks }
+}
 
-    for k in 0..nt {
-        // POTRF(k, k)
-        let mut deps = Vec::new();
-        let prev = last_write[idx(k, k)];
-        if let Some(w) = prev {
-            deps.push(w);
+/// A node of the DAG an attempt executes: one kernel, or — on a grid with
+/// more than one rank — the coalesced broadcast of panel column `k`.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    Kernel(CholeskyTask),
+    PanelBroadcast { k: usize },
+}
+
+impl Node {
+    fn kernel(self) -> Option<CholeskyTask> {
+        match self {
+            Node::Kernel(t) => Some(t),
+            Node::PanelBroadcast { .. } => None,
         }
-        let potrf = graph.add_task_with_affinity(deps, 0, prev);
-        tasks.push(CholeskyTask::Potrf { k });
-        last_write[idx(k, k)] = Some(potrf);
+    }
+}
 
-        for m in (k + 1)..nt {
-            // TRSM(m, k): reads L(k,k), updates (m,k) in place
-            let mut deps = vec![potrf];
-            let prev = last_write[idx(m, k)];
+/// The DAG [`run_attempt`] executes.
+pub(crate) struct ExecDag {
+    graph: TaskGraph,
+    nodes: Vec<Node>,
+}
+
+impl ExecDag {
+    /// The Algorithm 1 DAG of [`build_dag_with_costs`]. With
+    /// `panel_broadcasts`, step `k` also gets a [`Node::PanelBroadcast`]
+    /// that waits for column `k`'s TRSMs and precedes the step's SYRKs and
+    /// GEMMs; without, the graph, task ids and priorities are exactly
+    /// [`build_dag_with_costs`]'s.
+    pub(crate) fn build(nt: usize, costs: &KernelCosts, panel_broadcasts: bool) -> ExecDag {
+        let mut graph = TaskGraph::with_capacity(nt * nt * nt / 6 + nt * nt);
+        let mut nodes = Vec::new();
+        // last writer of each tile (lower-packed)
+        let mut last_write: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
+        let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
+        // the task that finalized panel tile (m, k) (its TRSM), for reader deps
+        let mut trsm_of: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
+
+        for k in 0..nt {
+            // POTRF(k, k)
+            let mut deps = Vec::new();
+            let prev = last_write[idx(k, k)];
             if let Some(w) = prev {
                 deps.push(w);
             }
-            let trsm = graph.add_task_with_affinity(deps, 0, prev);
-            tasks.push(CholeskyTask::Trsm { m, k });
-            last_write[idx(m, k)] = Some(trsm);
-            trsm_of[idx(m, k)] = Some(trsm);
-        }
-        for m in (k + 1)..nt {
-            // SYRK(m, k): reads (m,k), updates (m,m)
-            let mut deps = vec![trsm_of[idx(m, k)].unwrap()];
-            let prev = last_write[idx(m, m)];
-            if let Some(w) = prev {
-                deps.push(w);
-            }
-            let syrk = graph.add_task_with_affinity(deps, 0, prev);
-            tasks.push(CholeskyTask::Syrk { m, k });
-            last_write[idx(m, m)] = Some(syrk);
+            let potrf = graph.add_task_with_affinity(deps, 0, prev);
+            nodes.push(Node::Kernel(CholeskyTask::Potrf { k }));
+            last_write[idx(k, k)] = Some(potrf);
 
-            // GEMM(m, n, k) for n in k+1..m: reads (m,k), (n,k); updates (m,n)
-            for n in (k + 1)..m {
-                let mut deps = vec![trsm_of[idx(m, k)].unwrap(), trsm_of[idx(n, k)].unwrap()];
-                let prev = last_write[idx(m, n)];
+            for m in (k + 1)..nt {
+                // TRSM(m, k): reads L(k,k), updates (m,k) in place
+                let mut deps = vec![potrf];
+                let prev = last_write[idx(m, k)];
                 if let Some(w) = prev {
                     deps.push(w);
                 }
-                let gemm = graph.add_task_with_affinity(deps, 0, prev);
-                tasks.push(CholeskyTask::Gemm { m, n, k });
-                last_write[idx(m, n)] = Some(gemm);
+                let trsm = graph.add_task_with_affinity(deps, 0, prev);
+                nodes.push(Node::Kernel(CholeskyTask::Trsm { m, k }));
+                last_write[idx(m, k)] = Some(trsm);
+                trsm_of[idx(m, k)] = Some(trsm);
+            }
+            let mut bcast = None;
+            if panel_broadcasts && k + 1 < nt {
+                let deps = ((k + 1)..nt).map(|m| trsm_of[idx(m, k)].unwrap());
+                bcast = Some(graph.add_task(deps.collect(), 0));
+                nodes.push(Node::PanelBroadcast { k });
+            }
+            for m in (k + 1)..nt {
+                // SYRK(m, k): reads (m,k), updates (m,m)
+                let mut deps = vec![trsm_of[idx(m, k)].unwrap()];
+                deps.extend(bcast);
+                let prev = last_write[idx(m, m)];
+                if let Some(w) = prev {
+                    deps.push(w);
+                }
+                let syrk = graph.add_task_with_affinity(deps, 0, prev);
+                nodes.push(Node::Kernel(CholeskyTask::Syrk { m, k }));
+                last_write[idx(m, m)] = Some(syrk);
+
+                // GEMM(m, n, k) for n in k+1..m: reads (m,k), (n,k); updates (m,n)
+                for n in (k + 1)..m {
+                    let mut deps = vec![trsm_of[idx(m, k)].unwrap(), trsm_of[idx(n, k)].unwrap()];
+                    deps.extend(bcast);
+                    let prev = last_write[idx(m, n)];
+                    if let Some(w) = prev {
+                        deps.push(w);
+                    }
+                    let gemm = graph.add_task_with_affinity(deps, 0, prev);
+                    nodes.push(Node::Kernel(CholeskyTask::Gemm { m, n, k }));
+                    last_write[idx(m, n)] = Some(gemm);
+                }
             }
         }
+        // Critical-path priorities: the weighted longest chain below each
+        // task. A broadcast weighs like the cheapest kernel.
+        let cp = graph.critical_path_lengths(|id| match nodes[id].kernel() {
+            Some(t) => kernel_cost(costs, t.kind()),
+            None => costs[0],
+        });
+        graph.set_priorities(&cp);
+        ExecDag { graph, nodes }
     }
-    // Critical-path priorities: the weighted longest chain below each task.
-    let cp = graph.critical_path_lengths(|id| kernel_cost(costs, tasks[id].kind()));
-    graph.set_priorities(&cp);
-    CholeskyDag { graph, tasks }
+
+    /// The kernel of node `id` (`None` for a broadcast node).
+    pub(crate) fn task(&self, id: TaskId) -> Option<CholeskyTask> {
+        self.nodes[id].kernel()
+    }
 }
 
 /// Statistics of a numerical factorization run.
@@ -408,7 +462,8 @@ impl FactorOptions {
 
 /// Factor `a` in place under `pmap` using `nthreads` workers (1 = the
 /// deterministic serial scheduler). Returns stats; the matrix holds `L`
-/// tile-wise (each tile in its storage precision) on success.
+/// tile-wise (each tile in its storage precision) on success, and is left
+/// untouched on a breakdown.
 ///
 /// # Data path
 ///
@@ -432,51 +487,34 @@ pub fn factorize_mp(
     pmap: &PrecisionMap,
     nthreads: usize,
 ) -> Result<FactorStats, NotSpd> {
-    // Classic semantics on top of the fault-tolerant engine: no finite
-    // checks, no injected faults, no task retry, fast-fail drain on the
-    // first breakdown — and a genuine worker panic still propagates as a
-    // panic, exactly as before.
-    let opts = FactorOptions {
-        nthreads,
-        escalation_budget: 0,
-        finite_checks: false,
-        faults: FaultPlan::none(),
-        retry: RetryPolicy::no_retry(),
-        renarrow_storage: false,
-    };
-    let nb = a.nb();
-    let dag = build_dag(a.nt());
-    let t0 = std::time::Instant::now();
-    let sp = obs::span_start();
-    let attempt = run_attempt(a, &dag, pmap, &opts, 1, true);
-    obs::span_end(sp, obs::EventKind::FactorAttempt, 1);
-    match attempt {
-        Ok(mut out) => match out.first_failure() {
-            None => {
-                let sched = std::mem::take(&mut out.sched_stats);
-                Ok(finish_stats(
-                    &dag,
-                    pmap,
-                    a.nb(),
-                    t0,
-                    out,
-                    1,
-                    Vec::new(),
-                    0,
-                    sched,
-                ))
-            }
-            Some((task_idx, _)) => {
-                let (i, _) = dag.tasks[task_idx].output_tile();
-                Err(NotSpd { column: i * nb })
-            }
-        },
+    // The recovering engine with no recovery: no finite checks, no task
+    // retry, and the first breakdown exhausts the empty escalation budget.
+    // A genuine worker panic still propagates as a panic.
+    match factorize_mp_recovering(a, pmap, &single_shot_options(nthreads)) {
+        Ok(stats) => Ok(stats),
+        Err(FactorError::NotSpd(e)) => Err(e),
+        Err(FactorError::EscalationExhausted { last, .. }) => Err(NotSpd {
+            column: last.tile.0 * a.nb(),
+        }),
         Err(e) => panic!("worker panicked during factorization: {e}"),
     }
 }
 
-/// Fault-tolerant factorization: [`factorize_mp`] wrapped in the recovery
-/// loop of the mixed-precision literature. A breakdown (non-SPD pivot, or
+/// The options of a single fault-free attempt: [`factorize_mp`]'s and the
+/// distributed factorization's.
+pub(crate) fn single_shot_options(nthreads: usize) -> FactorOptions {
+    FactorOptions {
+        nthreads,
+        escalation_budget: 0,
+        finite_checks: false,
+        retry: RetryPolicy::no_retry(),
+        ..Default::default()
+    }
+}
+
+/// Fault-tolerant factorization: the engine's attempts wrapped in the
+/// recovery loop of the mixed-precision literature ([`factorize_mp`] is
+/// this loop with no budget). A breakdown (non-SPD pivot, or
 /// NaN/Inf caught by the post-kernel health check) escalates the offending
 /// tile's row/column one level toward FP64 in a working copy of the
 /// precision map, re-plans conversions, and refactorizes — bounded by
@@ -495,7 +533,7 @@ pub fn factorize_mp_recovering(
 ) -> Result<FactorStats, FactorError> {
     let nt = a.nt();
     assert_eq!(pmap.nt(), nt, "precision map / matrix mismatch");
-    let dag = build_dag(nt);
+    let dag = ExecDag::build(nt, &DEFAULT_KERNEL_COSTS, false);
     let mut map = pmap.clone();
     let mut escalations: Vec<EscalationEvent> = Vec::new();
     let mut task_retries = 0u64;
@@ -505,7 +543,7 @@ pub fn factorize_mp_recovering(
     loop {
         factor_attempt += 1;
         let sp = obs::span_start();
-        let attempt = run_attempt(a, &dag, &map, opts, factor_attempt, false);
+        let attempt = run_attempt(a, &dag, &map, opts, factor_attempt, None);
         obs::span_end(sp, obs::EventKind::FactorAttempt, factor_attempt as u64);
         let out = attempt?;
         task_retries += out.task_retries;
@@ -523,7 +561,7 @@ pub fn factorize_mp_recovering(
                 sched_acc,
             ));
         };
-        let task = dag.tasks[task_idx];
+        let task = dag.task(task_idx).expect("only kernels break down");
         let tile = task.output_tile();
         let escalated = if cause == BreakdownCause::Injected {
             // Transient injected corruption: a plain re-run recovers it
@@ -562,7 +600,7 @@ pub fn factorize_mp_recovering(
 }
 
 /// Result of one factorization attempt over the DAG.
-struct AttemptOutcome {
+pub(crate) struct AttemptOutcome {
     /// Breakdowns observed, sorted by task id (empty = clean attempt, and
     /// the factor has been written back into the matrix).
     failures: Vec<(TaskId, BreakdownCause)>,
@@ -582,25 +620,30 @@ impl AttemptOutcome {
     /// the recovery loop acts on (task ids are schedule-independent, and
     /// downstream NaN propagation always lands on larger ids than its
     /// root cause).
-    fn first_failure(&self) -> Option<(TaskId, BreakdownCause)> {
+    pub(crate) fn first_failure(&self) -> Option<(TaskId, BreakdownCause)> {
         self.failures.first().copied()
     }
 }
 
-/// Run the Cholesky DAG once under `pmap`. On a clean pass the factor is
-/// written back into `a` (storage per the map); on breakdown `a` is left
-/// untouched and the failures are reported. `fast_fail` drains remaining
-/// task bodies after the first breakdown (the classic single-shot path);
-/// the recovery loop disables it so the set of observed breakdowns — and
-/// hence the escalation choice — is schedule-independent.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
+/// Run the Cholesky DAG once under `pmap` — the one task body that executes
+/// Algorithm 1's kernels. On a clean pass the factor is written back into
+/// `a` (storage per the map); on breakdown `a` is left untouched and the
+/// failures are reported. Every task body runs, so the set of observed
+/// breakdowns — and hence the escalation choice — is schedule-independent.
+///
+/// `ranks` places the tiles on a multi-rank grid (owner-computes): a task
+/// reads a tile another rank owns from its own rank's inbox slot, filled by
+/// the owner's broadcast (`dag` must then carry the broadcast nodes). There
+/// a breakdown or a failed broadcast halts the attempt, since the ranks
+/// downstream would wait for payloads that are never sent. `None` is shared
+/// memory, the 1×1 grid.
+pub(crate) fn run_attempt(
     a: &mut SymmTileMatrix,
-    dag: &CholeskyDag,
+    dag: &ExecDag,
     pmap: &PrecisionMap,
     opts: &FactorOptions,
     factor_attempt: u32,
-    fast_fail: bool,
+    ranks: Option<&Ranks>,
 ) -> Result<AttemptOutcome, FactorError> {
     let nt = a.nt();
     let nthreads = opts.nthreads;
@@ -625,14 +668,28 @@ fn run_attempt(
     }
     let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
     let failures: Mutex<Vec<(TaskId, BreakdownCause)>> = Mutex::new(Vec::new());
-    let failed = AtomicBool::new(false);
     let record_failure = |task_idx: TaskId, cause: BreakdownCause| {
         lock_pt(&failures).push((task_idx, cause));
-        failed.store(true, Ordering::Release);
+        if let Some(r) = ranks {
+            r.halt();
+        }
+    };
+    let halted = || ranks.is_some_and(Ranks::halted);
+
+    // The placement: `remote(t, at)` is `Some` when the task writing tile
+    // `at` runs on another rank than tile `t`'s owner.
+    let remote =
+        |t: (usize, usize), at: (usize, usize)| ranks.filter(|r| r.owner(t) != r.owner(at));
+    let input = |t: (usize, usize), at: (usize, usize)| {
+        read_pt(match remote(t, at) {
+            Some(r) => r.received(t, r.owner(at)),
+            None => &cells[idx(t.0, t.1)],
+        })
     };
 
     // STC cache: per panel tile, one slot per compute format, filled by the
-    // tile's TRSM (its final writer) and read by its GEMM consumers.
+    // tile's TRSM (its final writer) and read by its GEMM consumers on the
+    // owner's rank.
     type Slots = [Option<Arc<ComputeBuf>>; N_COMPUTE_FORMATS];
     let caches: Vec<Mutex<Slots>> = (0..ncells).map(|_| Mutex::new(Slots::default())).collect();
     // GEMM reads remaining per panel tile (m,k): A-operand of GEMM(m,n,k)
@@ -684,11 +741,19 @@ fn run_attempt(
     };
 
     let run_task = |ws: &mut Workspace, task_idx: TaskId| {
-        if fast_fail && failed.load(Ordering::Acquire) {
-            return; // breakdown observed: drain remaining tasks as no-ops
+        if halted() {
+            return;
         }
-        let t = &dag.tasks[task_idx];
-        match *t {
+        let t = match dag.nodes[task_idx] {
+            Node::Kernel(t) => t,
+            Node::PanelBroadcast { k } => {
+                if let Some(r) = ranks {
+                    r.broadcast_panel(k, &cells, ws);
+                }
+                return;
+            }
+        };
+        match t {
             CholeskyTask::Potrf { k } => {
                 let mut c = write_pt(&cells[idx(k, k)]);
                 if potrf_tile_ws(&mut c, ws, kernel_par).is_err() {
@@ -697,31 +762,33 @@ fn run_attempt(
                     return;
                 }
                 drop(c);
-                check_output(task_idx, t);
+                check_output(task_idx, &t);
+                // L_kk is one frame: its broadcast to the column's TRSM
+                // owners runs right here.
+                if let Some(r) = ranks {
+                    r.broadcast_diag(k, &cells, ws);
+                }
             }
             CholeskyTask::Trsm { m, k } => {
                 let ti = idx(m, k);
                 {
-                    let l = read_pt(&cells[idx(k, k)]);
+                    let l = input((k, k), (m, k));
                     let mut b = write_pt(&cells[ti]);
                     trsm_tile_ws(pmap.kernel(m, k), &l, &mut b, ws, kernel_par);
                 }
-                check_output(task_idx, t);
+                check_output(task_idx, &t);
                 // STC: tile (m,k) is now final. Quantize it once into each
-                // compute format a downstream GEMM will read it in. No GEMM
-                // consumer can run before this task completes, so filling
-                // the cache here is race-free.
+                // compute format a downstream GEMM on this rank will read
+                // it in. No GEMM consumer can run before this task
+                // completes, so filling the cache here is race-free.
                 if readers[ti].load(Ordering::Acquire) > 0 {
                     let mut needed: [Option<Precision>; N_COMPUTE_FORMATS] =
                         [None; N_COMPUTE_FORMATS];
-                    for nn in (k + 1)..m {
-                        let p = pmap.kernel(m, nn);
-                        if let Some(s) = compute_format_index(p) {
-                            needed[s] = Some(p);
-                        }
-                    }
-                    for mm in (m + 1)..nt {
-                        let p = pmap.kernel(mm, m);
+                    let consumers = ((k + 1)..m)
+                        .map(|nn| (m, nn))
+                        .chain(((m + 1)..nt).map(|mm| (mm, m)));
+                    for at in consumers.filter(|&at| remote((m, k), at).is_none()) {
+                        let p = pmap.kernel(at.0, at.1);
                         if let Some(s) = compute_format_index(p) {
                             needed[s] = Some(p);
                         }
@@ -731,8 +798,9 @@ fn run_attempt(
                         let mut slots = lock_pt(&caches[ti]);
                         for (s, p) in needed.iter().enumerate() {
                             if let Some(p) = p {
+                                let sp = obs::span_start();
                                 let buf = Arc::new(make_compute_buf(*p, &b));
-                                obs::instant(obs::EventKind::Convert, buf.bytes() as u64);
+                                obs::span_end(sp, obs::EventKind::Convert, buf.bytes() as u64);
                                 slots[s] = Some(buf);
                                 conv_performed.fetch_add(1, Ordering::Relaxed);
                             }
@@ -742,25 +810,25 @@ fn run_attempt(
             }
             CholeskyTask::Syrk { m, k } => {
                 {
-                    let a_in = read_pt(&cells[idx(m, k)]);
+                    let a_in = input((m, k), (m, m));
                     let mut c = write_pt(&cells[idx(m, m)]);
                     syrk_tile_ws(&a_in, &mut c, ws, kernel_par);
                 }
-                check_output(task_idx, t);
+                check_output(task_idx, &t);
             }
             CholeskyTask::Gemm { m, n, k } => {
                 let p = pmap.kernel(m, n);
                 let (ta, tb) = (idx(m, k), idx(n, k));
-                let (abuf, bbuf) = match compute_format_index(p) {
-                    Some(s) => (
-                        lock_pt(&caches[ta])[s].clone(),
-                        lock_pt(&caches[tb])[s].clone(),
-                    ),
-                    None => (None, None),
+                // A received operand is quantized locally: the STC buffers
+                // are images of the owner's tile.
+                let cached = |t: (usize, usize), ti: usize| match compute_format_index(p) {
+                    Some(s) if remote(t, (m, n)).is_none() => lock_pt(&caches[ti])[s].clone(),
+                    _ => None,
                 };
+                let (abuf, bbuf) = (cached((m, k), ta), cached((n, k), tb));
                 {
-                    let ai = read_pt(&cells[ta]);
-                    let bi = read_pt(&cells[tb]);
+                    let ai = input((m, k), (m, n));
+                    let bi = input((n, k), (m, n));
                     let mut c = write_pt(&cells[idx(m, n)]);
                     let local = gemm_tile_ws_cached(
                         p,
@@ -778,7 +846,7 @@ fn run_attempt(
                         conv_bytes_avoided.fetch_add(buf.bytes() as u64, Ordering::Relaxed);
                     }
                 }
-                check_output(task_idx, t);
+                check_output(task_idx, &t);
                 release_reader(ta);
                 release_reader(tb);
             }
@@ -790,10 +858,13 @@ fn run_attempt(
         faults: opts.faults.clone(),
     };
     let map_exec_err = |e: ExecuteError| match e {
-        ExecuteError::TaskFailed(f) => FactorError::TaskFailed {
-            task: dag.tasks[f.task],
-            attempt: f.attempt,
-            cause: f.cause,
+        ExecuteError::TaskFailed(f) => match dag.task(f.task) {
+            Some(task) => FactorError::TaskFailed {
+                task,
+                attempt: f.attempt,
+                cause: f.cause,
+            },
+            None => FactorError::WorkerPanicked,
         },
         ExecuteError::WorkerPanicked => FactorError::WorkerPanicked,
     };
@@ -819,7 +890,7 @@ fn run_attempt(
     failures.sort_by_key(|&(id, _)| id);
     failures.dedup_by_key(|&mut (id, _)| id);
 
-    if failures.is_empty() {
+    if failures.is_empty() && !halted() {
         // Write tiles back, converting storage to the map's prescription
         // (the factor tile keeps the storage precision of its map entry).
         let mut cells_iter = cells.into_iter();
@@ -859,7 +930,7 @@ fn accumulate_sched(into: &mut Vec<WorkerStats>, from: &[WorkerStats]) {
 /// Assemble the [`FactorStats`] of a successful run.
 #[allow(clippy::too_many_arguments)]
 fn finish_stats(
-    dag: &CholeskyDag,
+    dag: &ExecDag,
     pmap: &PrecisionMap,
     nb: usize,
     t0: std::time::Instant,
@@ -871,7 +942,7 @@ fn finish_stats(
 ) -> FactorStats {
     let (mp_bytes, fp64_bytes) = pmap.storage_bytes(nb);
     let mut counts = [0usize; 4];
-    for t in &dag.tasks {
+    for t in dag.nodes.iter().filter_map(|n| n.kernel()) {
         match t.kind() {
             KernelKind::Potrf => counts[0] += 1,
             KernelKind::Trsm => counts[1] += 1,
@@ -884,7 +955,7 @@ fn finish_stats(
         sched_totals.accumulate(s);
     }
     let stats = FactorStats {
-        tasks_run: dag.tasks.len(),
+        tasks_run: counts.iter().sum(),
         kernel_counts: counts,
         wall_s: t0.elapsed().as_secs_f64(),
         storage_bytes_mp: mp_bytes,

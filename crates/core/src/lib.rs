@@ -31,9 +31,9 @@ pub mod tlr;
 pub mod wire;
 
 pub use band_map::{banded_map, banded_map_matching_storage};
-pub use conversion::{plan_conversions, ConversionPlan, Strategy};
+pub use conversion::{plan_conversions, wire_of, ConversionPlan, WirePolicy};
 pub use distributed::{
-    factorize_mp_distributed, factorize_mp_distributed_ft, DistError, DistStats, WirePolicy,
+    factorize_mp_distributed, factorize_mp_distributed_ft, DistError, DistStats,
 };
 pub use factorize::{
     factorize_mp, factorize_mp_recovering, BreakdownCause, EscalationEvent, FactorError,

@@ -4,16 +4,17 @@
 //!
 //! Tiles are distributed 2D block-cyclically over all GPUs of the cluster
 //! (owner-computes, §VII-A); every dependency payload carries the wire
-//! precision chosen by the conversion strategy:
+//! precision chosen by the wire policy:
 //!
-//! * [`Strategy::Ttc`] — payloads ship at the producer tile's storage
+//! * [`WirePolicy::Ttc`] — payloads ship at the producer tile's storage
 //!   precision; every consumer whose kernel wants a different input format
 //!   pays a conversion on its own compute stream (per task).
-//! * [`Strategy::Auto`] — Algorithm 2's plan: where STC applies, the
+//! * [`WirePolicy::Auto`] — Algorithm 2's plan: where STC applies, the
 //!   producer converts once and payloads shrink to the planned wire
 //!   precision; consumers read it directly.
+//! * [`WirePolicy::AlwaysLowest`] — every payload ships FP16.
 
-use crate::conversion::{plan_conversions, ConversionPlan, Strategy};
+use crate::conversion::{plan_conversions, wire_of, ConversionPlan, WirePolicy};
 use crate::factorize::{build_dag, CholeskyTask};
 use crate::precision_map::PrecisionMap;
 use crate::wire::{framed_tile_bytes, Packing};
@@ -26,7 +27,7 @@ use mixedp_tile::Grid2d;
 #[derive(Debug, Clone, Copy)]
 pub struct CholeskySimOptions {
     pub nb: usize,
-    pub strategy: Strategy,
+    pub strategy: WirePolicy,
 }
 
 /// Map `CholeskyTask` kernels onto simulator kernel classes.
@@ -36,20 +37,6 @@ fn sim_kind(t: &CholeskyTask) -> SimKernel {
         CholeskyTask::Trsm { .. } => SimKernel::Trsm,
         CholeskyTask::Syrk { .. } => SimKernel::Syrk,
         CholeskyTask::Gemm { .. } => SimKernel::Gemm,
-    }
-}
-
-/// Wire precision of broadcasts from tile `(i, j)` under a strategy.
-fn wire_of(
-    plan: &ConversionPlan,
-    pmap: &PrecisionMap,
-    strategy: Strategy,
-    i: usize,
-    j: usize,
-) -> CommPrecision {
-    match strategy {
-        Strategy::Ttc => comm_of_storage(pmap.storage(i, j)),
-        Strategy::Auto => plan.comm(i, j),
     }
 }
 
@@ -65,7 +52,7 @@ fn wire_of(
 fn input_for(
     plan: &ConversionPlan,
     pmap: &PrecisionMap,
-    strategy: Strategy,
+    strategy: WirePolicy,
     tile_id: u32,
     i: usize,
     j: usize,
@@ -110,12 +97,8 @@ pub fn build_sim_tasks(
     let mut sim_tasks = Vec::with_capacity(dag.tasks.len());
     for (id, t) in dag.tasks.iter().enumerate() {
         let node = dag.graph.node(id);
-        let (out_i, out_j, gpu) = match *t {
-            CholeskyTask::Potrf { k } => (k, k, grid.rank_of(k, k)),
-            CholeskyTask::Trsm { m, k } => (m, k, grid.rank_of(m, k)),
-            CholeskyTask::Syrk { m, .. } => (m, m, grid.rank_of(m, m)),
-            CholeskyTask::Gemm { m, n, .. } => (m, n, grid.rank_of(m, n)),
-        };
+        let (out_i, out_j) = t.output_tile();
+        let gpu = grid.rank_of(out_i, out_j);
         let out_storage = pmap.storage(out_i, out_j);
         // Under the automated plan, an STC sender (POTRF/TRSM) keeps its
         // output in the *communication* form on device: the one sender-side
@@ -123,7 +106,8 @@ pub fn build_sim_tasks(
         // refetch) then uses — this is where STC's data-motion savings come
         // from. Non-senders and TTC tiles stay at storage precision.
         let is_sender = matches!(t, CholeskyTask::Potrf { .. } | CholeskyTask::Trsm { .. });
-        let stc_sender = opts.strategy == Strategy::Auto && is_sender && plan.is_stc(out_i, out_j);
+        let stc_sender =
+            opts.strategy == WirePolicy::Auto && is_sender && plan.is_stc(out_i, out_j);
         let out_bytes = if stc_sender {
             elems * plan.comm(out_i, out_j).bytes() as u64
         } else {
@@ -263,7 +247,7 @@ mod tests {
         ClusterSpec::new(NodeSpec::summit().single_gpu(), 1)
     }
 
-    fn opts(strategy: Strategy) -> CholeskySimOptions {
+    fn opts(strategy: WirePolicy) -> CholeskySimOptions {
         CholeskySimOptions { nb: 2048, strategy }
     }
 
@@ -275,7 +259,7 @@ mod tests {
         let rep = simulate_cholesky(
             &uniform_map(nt, Precision::Fp64),
             &v100_1gpu(),
-            opts(Strategy::Auto),
+            opts(WirePolicy::Auto),
         );
         let eff = rep.tflops() / 7.8;
         assert!(eff > 0.80 && eff <= 1.0, "FP64 efficiency {eff}");
@@ -288,8 +272,8 @@ mod tests {
         let nt = 24;
         let m = uniform_map(nt, Precision::Fp16);
         let cl = v100_1gpu();
-        let t_ttc = simulate_cholesky(&m, &cl, opts(Strategy::Ttc)).makespan_s;
-        let t_stc = simulate_cholesky(&m, &cl, opts(Strategy::Auto)).makespan_s;
+        let t_ttc = simulate_cholesky(&m, &cl, opts(WirePolicy::Ttc)).makespan_s;
+        let t_stc = simulate_cholesky(&m, &cl, opts(WirePolicy::Auto)).makespan_s;
         let speedup = t_ttc / t_stc;
         assert!(speedup > 1.05, "STC speedup {speedup}");
         assert!(speedup < 2.5, "speedup suspiciously large: {speedup}");
@@ -299,10 +283,18 @@ mod tests {
     fn mixed_precision_beats_fp64() {
         let nt = 16;
         let cl = v100_1gpu();
-        let t64 = simulate_cholesky(&uniform_map(nt, Precision::Fp64), &cl, opts(Strategy::Auto))
-            .makespan_s;
-        let t16 = simulate_cholesky(&uniform_map(nt, Precision::Fp16), &cl, opts(Strategy::Auto))
-            .makespan_s;
+        let t64 = simulate_cholesky(
+            &uniform_map(nt, Precision::Fp64),
+            &cl,
+            opts(WirePolicy::Auto),
+        )
+        .makespan_s;
+        let t16 = simulate_cholesky(
+            &uniform_map(nt, Precision::Fp16),
+            &cl,
+            opts(WirePolicy::Auto),
+        )
+        .makespan_s;
         assert!(t64 / t16 > 3.0, "FP64/FP16 speedup {}", t64 / t16);
     }
 
@@ -314,8 +306,8 @@ mod tests {
         let nt = 48;
         let m = uniform_map(nt, Precision::Fp16);
         let cl = v100_1gpu();
-        let ttc = simulate_cholesky(&m, &cl, opts(Strategy::Ttc));
-        let stc = simulate_cholesky(&m, &cl, opts(Strategy::Auto));
+        let ttc = simulate_cholesky(&m, &cl, opts(WirePolicy::Ttc));
+        let stc = simulate_cholesky(&m, &cl, opts(WirePolicy::Auto));
         assert!(
             stc.h2d_bytes < ttc.h2d_bytes,
             "STC h2d {} vs TTC {}",
@@ -333,8 +325,8 @@ mod tests {
         let m = uniform_map(nt, Precision::Fp64);
         let one = ClusterSpec::new(NodeSpec::summit().single_gpu(), 1);
         let six = ClusterSpec::new(NodeSpec::summit(), 1);
-        let t1 = simulate_cholesky(&m, &one, opts(Strategy::Auto)).makespan_s;
-        let t6 = simulate_cholesky(&m, &six, opts(Strategy::Auto)).makespan_s;
+        let t1 = simulate_cholesky(&m, &one, opts(WirePolicy::Auto)).makespan_s;
+        let t6 = simulate_cholesky(&m, &six, opts(WirePolicy::Auto)).makespan_s;
         let s = t1 / t6;
         assert!(s > 3.0 && s <= 6.5, "6-GPU speedup {s}");
     }
@@ -343,7 +335,7 @@ mod tests {
     fn cross_node_traffic_appears_only_with_multiple_nodes() {
         let nt = 12;
         let m = uniform_map(nt, Precision::Fp64);
-        let o = opts(Strategy::Auto);
+        let o = opts(WirePolicy::Auto);
         let rep1 = simulate_cholesky(&m, &ClusterSpec::summit(1), o);
         assert_eq!(rep1.nic_bytes, 0);
         let rep2 = simulate_cholesky(&m, &ClusterSpec::summit(2), o);
@@ -354,10 +346,18 @@ mod tests {
     fn energy_lower_for_mixed_precision() {
         let nt = 16;
         let cl = v100_1gpu();
-        let e64 = simulate_cholesky(&uniform_map(nt, Precision::Fp64), &cl, opts(Strategy::Auto))
-            .energy_joules();
-        let e16 = simulate_cholesky(&uniform_map(nt, Precision::Fp16), &cl, opts(Strategy::Auto))
-            .energy_joules();
+        let e64 = simulate_cholesky(
+            &uniform_map(nt, Precision::Fp64),
+            &cl,
+            opts(WirePolicy::Auto),
+        )
+        .energy_joules();
+        let e16 = simulate_cholesky(
+            &uniform_map(nt, Precision::Fp16),
+            &cl,
+            opts(WirePolicy::Auto),
+        )
+        .energy_joules();
         assert!(e16 < e64 / 2.0, "energy {e16} vs {e64}");
     }
 
@@ -365,7 +365,7 @@ mod tests {
     fn task_and_tile_counts() {
         let nt = 6;
         let m = uniform_map(nt, Precision::Fp32);
-        let (tasks, initial) = build_sim_tasks(&m, &v100_1gpu(), opts(Strategy::Auto));
+        let (tasks, initial) = build_sim_tasks(&m, &v100_1gpu(), opts(WirePolicy::Auto));
         assert_eq!(
             tasks.len(),
             nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6

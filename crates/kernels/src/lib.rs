@@ -26,9 +26,9 @@ pub use blas::{
     trsm_rlt_f32, trsm_rlt_f32_p, trsm_rlt_f64, trsm_rlt_f64_p, NotSpd,
 };
 pub use mp::{
-    compute_format_index, gemm_tile, gemm_tile_ws, gemm_tile_ws_cached, kernel_flops,
-    make_compute_buf, potrf_tile, potrf_tile_ws, syrk_tile, syrk_tile_ws, trsm_effective_precision,
-    trsm_tile, trsm_tile_ws, ComputeBuf, KernelKind, N_COMPUTE_FORMATS,
+    compute_format_index, gemm_tile_ws, gemm_tile_ws_cached, kernel_flops, make_compute_buf,
+    potrf_tile_ws, syrk_tile_ws, trsm_effective_precision, trsm_tile_ws, ComputeBuf, KernelKind,
+    N_COMPUTE_FORMATS,
 };
 pub use solve::{backward_solve_trans_tiled, forward_solve_tiled, spd_solve_tiled};
 pub use validate::{gemm_relative_error, max_rel_diff, reconstruction_error, tile_is_finite};

@@ -17,12 +17,11 @@
 //!
 //! # Data path
 //!
-//! Every kernel has a `*_tile_ws` form taking a caller-owned [`Workspace`]
+//! Every kernel is a `*_tile_ws` function taking a caller-owned [`Workspace`]
 //! and an explicit `parallel` flag: operand staging reuses the workspace's
 //! buffers (zero steady-state heap allocations), F64-stored tiles are
 //! updated in place with no staging copy at all, and reduced-precision
 //! paths read/write `f32` directly instead of round-tripping through `f64`.
-//! The legacy allocating names delegate through a thread-local workspace.
 //!
 //! GEMM additionally accepts pre-quantized operand images ([`ComputeBuf`])
 //! so a producer can convert a tile to its compute format **once** and share
@@ -163,14 +162,9 @@ pub fn make_compute_buf(p: Precision, t: &Tile) -> ComputeBuf {
 }
 
 /// POTRF on a diagonal tile: always FP64 (Algorithm 1 `DPOTRF`).
-pub fn potrf_tile(c: &mut Tile) -> Result<(), blas::NotSpd> {
-    with_thread_workspace(|ws| potrf_tile_ws(c, ws, true))
-}
-
-/// [`potrf_tile`] on a caller-owned workspace. F64-stored tiles are
-/// factored fully in place (no staging copy); note that on a `NotSpd`
-/// failure such a tile holds the partial factorization, as with any
-/// in-place LAPACK-style POTRF.
+/// F64-stored tiles are factored fully in place (no staging copy); note
+/// that on a `NotSpd` failure such a tile holds the partial factorization,
+/// as with any in-place LAPACK-style POTRF.
 pub fn potrf_tile_ws(c: &mut Tile, ws: &mut Workspace, parallel: bool) -> Result<(), blas::NotSpd> {
     let sp = obs::span_start();
     let r = potrf_tile_ws_inner(c, ws, parallel);
@@ -211,15 +205,11 @@ fn potrf_tile_ws_inner(
 }
 
 /// TRSM: `C_mk ← C_mk · L_kkᵀ⁻¹` at kernel precision `p` (clamped per
-/// [`trsm_effective_precision`]). `l` is the factored diagonal tile.
-pub fn trsm_tile(p: Precision, l: &Tile, b: &mut Tile) {
-    with_thread_workspace(|ws| trsm_tile_ws(p, l, b, ws, true))
-}
-
-/// [`trsm_tile`] on a caller-owned workspace. The FP32 path stages both
-/// operands directly in `f32` — no `f64` round-trip — which halves its
-/// staging traffic; the values are bit-identical to the widen-then-narrow
-/// route because every step of that route rounded at most once.
+/// [`trsm_effective_precision`]). `l` is the factored diagonal tile. The
+/// FP32 path stages both operands directly in `f32` — no `f64` round-trip —
+/// which halves its staging traffic; the values are bit-identical to the
+/// widen-then-narrow route because every step of that route rounded at
+/// most once.
 pub fn trsm_tile_ws(p: Precision, l: &Tile, b: &mut Tile, ws: &mut Workspace, parallel: bool) {
     let sp = obs::span_start();
     trsm_tile_ws_inner(p, l, b, ws, parallel);
@@ -258,13 +248,8 @@ fn trsm_tile_ws_inner(p: Precision, l: &Tile, b: &mut Tile, ws: &mut Workspace, 
 /// SYRK on a diagonal tile: `C_mm ← C_mm − C_mk C_mkᵀ`, always FP64
 /// (Algorithm 1 `DSYRK`). The input panel may arrive in reduced storage —
 /// widening it is lossless; the precision loss already happened when the
-/// panel was stored, which is exactly the paper's error model.
-pub fn syrk_tile(a: &Tile, c: &mut Tile) {
-    with_thread_workspace(|ws| syrk_tile_ws(a, c, ws, true))
-}
-
-/// [`syrk_tile`] on a caller-owned workspace; F64-stored `C` updates in
-/// place, and F64-stored panels are read with zero copies.
+/// panel was stored, which is exactly the paper's error model. F64-stored
+/// `C` updates in place, and F64-stored panels are read with zero copies.
 pub fn syrk_tile_ws(a: &Tile, c: &mut Tile, ws: &mut Workspace, parallel: bool) {
     let sp = obs::span_start();
     syrk_tile_ws_inner(a, c, ws, parallel);
@@ -294,13 +279,6 @@ fn syrk_tile_ws_inner(a: &Tile, c: &mut Tile, ws: &mut Workspace, parallel: bool
 }
 
 /// GEMM: `C_mn ← C_mn − C_mk C_nkᵀ` at kernel precision `p`.
-pub fn gemm_tile(p: Precision, a: &Tile, b: &Tile, c: &mut Tile) {
-    with_thread_workspace(|ws| {
-        gemm_tile_ws(p, a, b, c, ws, true);
-    })
-}
-
-/// [`gemm_tile`] on a caller-owned workspace.
 pub fn gemm_tile_ws(
     p: Precision,
     a: &Tile,
@@ -603,7 +581,7 @@ mod tests {
     #[test]
     fn potrf_tile_zeros_upper() {
         let mut t = spd_tile(8);
-        potrf_tile(&mut t).unwrap();
+        potrf_tile_ws(&mut t, &mut Workspace::new(), true).unwrap();
         for i in 0..8 {
             for j in (i + 1)..8 {
                 assert_eq!(t.get(i, j), 0.0);
@@ -617,8 +595,8 @@ mod tests {
         // staging path (non-F64 storage) must behave like the in-place one
         let mut t64 = spd_tile(8);
         let mut t32 = t64.converted_to(SP::F32);
-        potrf_tile(&mut t64).unwrap();
-        potrf_tile(&mut t32).unwrap();
+        potrf_tile_ws(&mut t64, &mut Workspace::new(), true).unwrap();
+        potrf_tile_ws(&mut t32, &mut Workspace::new(), true).unwrap();
         for i in 0..8 {
             for j in 0..8 {
                 assert!((t64.get(i, j) - t32.get(i, j)).abs() < 1e-3);
@@ -635,7 +613,7 @@ mod tests {
         let b = rand_tile(n, k, 2, SP::F64);
         let exact = {
             let mut c = Tile::zeros(m, n, SP::F64);
-            gemm_tile(Precision::Fp64, &a, &b, &mut c);
+            gemm_tile_ws(Precision::Fp64, &a, &b, &mut c, &mut Workspace::new(), true);
             c
         };
         let mut errs = Vec::new();
@@ -646,7 +624,7 @@ mod tests {
             Precision::Fp16,
         ] {
             let mut c = Tile::zeros(m, n, SP::F64);
-            gemm_tile(p, &a, &b, &mut c);
+            gemm_tile_ws(p, &a, &b, &mut c, &mut Workspace::new(), true);
             let e = crate::validate::gemm_relative_error(&c, &exact);
             errs.push((p, e));
         }
@@ -662,7 +640,14 @@ mod tests {
         let a = rand_tile(m, k, 3, SP::F64);
         let b = rand_tile(n, k, 4, SP::F64);
         let mut c = Tile::zeros(m, n, SP::F64);
-        gemm_tile(Precision::Fp16x32, &a, &b, &mut c);
+        gemm_tile_ws(
+            Precision::Fp16x32,
+            &a,
+            &b,
+            &mut c,
+            &mut Workspace::new(),
+            true,
+        );
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
@@ -819,7 +804,7 @@ mod tests {
             let b = rand_tile(n, k, 52, SP::F16);
             let c0 = rand_tile(m, n, 53, SP::F32);
             let mut got = c0.clone();
-            gemm_tile(p, &a, &b, &mut got);
+            gemm_tile_ws(p, &a, &b, &mut got, &mut Workspace::new(), true);
             let (mut af, mut bf, mut cf) = (Vec::new(), Vec::new(), Vec::new());
             quantize_into(p, &a, &mut af);
             quantize_into(p, &b, &mut bf);
@@ -872,12 +857,12 @@ mod tests {
         assert_eq!(trsm_effective_precision(Precision::Fp64), Precision::Fp64);
 
         let mut l = spd_tile(6);
-        potrf_tile(&mut l).unwrap();
+        potrf_tile_ws(&mut l, &mut Workspace::new(), true).unwrap();
         let b0 = rand_tile(4, 6, 9, SP::F64);
         let mut b16 = b0.clone();
-        trsm_tile(Precision::Fp16, &l, &mut b16);
+        trsm_tile_ws(Precision::Fp16, &l, &mut b16, &mut Workspace::new(), true);
         let mut b32 = b0.clone();
-        trsm_tile(Precision::Fp32, &l, &mut b32);
+        trsm_tile_ws(Precision::Fp32, &l, &mut b32, &mut Workspace::new(), true);
         // identical: FP16 TRSM *is* FP32 TRSM
         assert_eq!(b16.to_f64(), b32.to_f64());
     }
@@ -886,7 +871,7 @@ mod tests {
     fn trsm_tile_solves() {
         let n = 8;
         let mut l = spd_tile(n);
-        potrf_tile(&mut l).unwrap();
+        potrf_tile_ws(&mut l, &mut Workspace::new(), true).unwrap();
         let x0 = rand_tile(3, n, 7, SP::F64);
         // b = x0 * L^T
         let mut b = Tile::zeros(3, n, SP::F64);
@@ -899,7 +884,7 @@ mod tests {
                 b.set(i, j, s);
             }
         }
-        trsm_tile(Precision::Fp64, &l, &mut b);
+        trsm_tile_ws(Precision::Fp64, &l, &mut b, &mut Workspace::new(), true);
         for i in 0..3 {
             for j in 0..n {
                 assert!((b.get(i, j) - x0.get(i, j)).abs() < 1e-10);
@@ -914,7 +899,7 @@ mod tests {
         let a = rand_tile(m, k, 11, SP::F64);
         let mut c = spd_tile(m);
         let c0 = c.clone();
-        syrk_tile(&a, &mut c);
+        syrk_tile_ws(&a, &mut c, &mut Workspace::new(), true);
         for i in 0..m {
             for j in 0..=i {
                 let mut s = 0.0;
@@ -940,7 +925,7 @@ mod tests {
         let a = rand_tile(m, k, 20, SP::F64);
         let b = rand_tile(n, k, 21, SP::F64);
         let mut c = rand_tile(m, n, 22, SP::F32);
-        gemm_tile(Precision::Fp32, &a, &b, &mut c);
+        gemm_tile_ws(Precision::Fp32, &a, &b, &mut c, &mut Workspace::new(), true);
         for v in c.to_f64() {
             assert_eq!(v as f32 as f64, v);
         }

@@ -2,7 +2,7 @@
 
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_kernels::{
-    blas, gemm_relative_error, gemm_tile, gemm_tile_ws, potrf_tile, trsm_tile, Workspace,
+    blas, gemm_relative_error, gemm_tile_ws, potrf_tile_ws, trsm_tile_ws, Workspace,
 };
 use mixedp_tile::Tile;
 use proptest::prelude::*;
@@ -37,7 +37,7 @@ proptest! {
         let a = tile_from(&av, m, k);
         let b = tile_from(&bv, n, k);
         let mut c = tile_from(&cv, m, n);
-        gemm_tile(Precision::Fp64, &a, &b, &mut c);
+        gemm_tile_ws(Precision::Fp64, &a, &b, &mut c, &mut Workspace::new(), true);
         for i in 0..m {
             for j in 0..n {
                 let mut want = cv[i * n + j];
@@ -64,7 +64,7 @@ proptest! {
         let a = tile_from(&(0..m * k).map(|_| rnd()).collect::<Vec<_>>(), m, k);
         let b = tile_from(&(0..n * k).map(|_| rnd()).collect::<Vec<_>>(), n, k);
         let mut c64 = Tile::zeros(m, n, StoragePrecision::F64);
-        gemm_tile(Precision::Fp64, &a, &b, &mut c64);
+        gemm_tile_ws(Precision::Fp64, &a, &b, &mut c64, &mut Workspace::new(), true);
         for (p, budget) in [
             (Precision::Fp32, 1e-5),
             (Precision::Tf32, 1e-2),
@@ -73,7 +73,7 @@ proptest! {
             (Precision::Fp16, 1e-1),
         ] {
             let mut c = Tile::zeros(m, n, StoragePrecision::F64);
-            gemm_tile(p, &a, &b, &mut c);
+            gemm_tile_ws(p, &a, &b, &mut c, &mut Workspace::new(), true);
             let e = gemm_relative_error(&c, &c64);
             prop_assert!(e < budget, "{p}: {e:e} > {budget:e}");
         }
@@ -98,7 +98,7 @@ proptest! {
             d[i * n + i] += n as f64;
         }
         let mut l = tile_from(&d, n, n);
-        potrf_tile(&mut l).unwrap();
+        potrf_tile_ws(&mut l, &mut Workspace::new(), true).unwrap();
         let x0v: Vec<f64> = (0..m * n).map(|_| rnd() * 2.0).collect();
         // b = x0 L^T
         let mut bv = vec![0.0; m * n];
@@ -110,7 +110,7 @@ proptest! {
             }
         }
         let mut b = tile_from(&bv, m, n);
-        trsm_tile(Precision::Fp64, &l, &mut b);
+        trsm_tile_ws(Precision::Fp64, &l, &mut b, &mut Workspace::new(), true);
         for i in 0..m {
             for j in 0..n {
                 prop_assert!((b.get(i, j) - x0v[i * n + j]).abs() < 1e-8);

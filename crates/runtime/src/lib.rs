@@ -13,20 +13,17 @@
 //! begin/end intervals plus per-worker steal/idle/wake counters for
 //! occupancy and Gantt-style analysis (paper Figs 3, 9).
 
-pub mod dtd;
 pub mod fault;
 pub mod gantt;
 pub mod graph;
 pub mod scheduler;
 pub mod trace;
 
-pub use dtd::{DataKey, DtdBuilder};
 pub use fault::{Corruption, FaultPlan, RetryPolicy, TaskFailure, WireFault};
 pub use gantt::{render_gantt, render_gantt_with_stats};
 pub use graph::{TaskGraph, TaskId};
 pub use scheduler::{
-    execute_parallel, execute_parallel_ctx, execute_parallel_ctx_opts,
-    execute_parallel_heap_baseline, execute_serial, execute_serial_ctx, execute_serial_ctx_opts,
-    ExecOptions, ExecuteError,
+    execute_parallel, execute_parallel_ctx, execute_parallel_ctx_opts, execute_serial,
+    execute_serial_ctx, execute_serial_ctx_opts, ExecOptions, ExecuteError,
 };
 pub use trace::{ExecutionTrace, TaskSpan, WorkerStats};

@@ -640,133 +640,6 @@ pub fn execute_parallel(
     execute_parallel_ctx(graph, nthreads, |_| (), |(), id| run(id))
 }
 
-/// The pre-work-stealing executor: one global `Mutex<BinaryHeap>` ready
-/// queue and `notify_all` wake-ups. Retained **only** as the contended
-/// single-heap baseline that `bench_scheduler` compares the work-stealing
-/// scheduler against; not part of the production path.
-pub fn execute_parallel_heap_baseline(
-    graph: &TaskGraph,
-    nthreads: usize,
-    run: impl Fn(TaskId) + Sync,
-) -> Result<ExecutionTrace, ExecuteError> {
-    assert!(nthreads > 0);
-    let n = graph.len();
-    if n == 0 {
-        return Ok(ExecutionTrace::new(Vec::new(), 0));
-    }
-    let dependents = graph.dependents();
-    let dep_counts: Vec<AtomicUsize> = graph
-        .dep_counts()
-        .into_iter()
-        .map(AtomicUsize::new)
-        .collect();
-
-    struct Heap {
-        heap: Mutex<BinaryHeap<Ready>>,
-        cv: Condvar,
-        remaining: AtomicUsize,
-        poisoned: AtomicBool,
-    }
-    let state = Heap {
-        heap: Mutex::new(BinaryHeap::with_capacity(n)),
-        cv: Condvar::new(),
-        remaining: AtomicUsize::new(n),
-        poisoned: AtomicBool::new(false),
-    };
-    {
-        let mut h = state.heap.lock().unwrap();
-        for (id, node) in graph.iter() {
-            if node.deps.is_empty() {
-                h.push(Ready {
-                    priority: node.priority,
-                    id,
-                });
-            }
-        }
-    }
-
-    let t0 = Instant::now();
-    let spans: Vec<Mutex<Vec<TaskSpan>>> = (0..nthreads).map(|_| Mutex::new(Vec::new())).collect();
-
-    let state = &state;
-    let dependents = &dependents;
-    let dep_counts = &dep_counts;
-    let spans = &spans;
-    let run = &run;
-
-    let worker = move |wid: usize| {
-        let mut newly_ready: Vec<TaskId> = Vec::with_capacity(8);
-        let mut my_spans: Vec<TaskSpan> = Vec::new();
-        loop {
-            let task = {
-                let mut h = state.heap.lock().unwrap();
-                loop {
-                    if let Some(r) = h.pop() {
-                        break Some(r.id);
-                    }
-                    if state.remaining.load(Ordering::Acquire) == 0 {
-                        break None;
-                    }
-                    h = state.cv.wait(h).unwrap();
-                }
-            };
-            let Some(id) = task else {
-                spans[wid].lock().unwrap().append(&mut my_spans);
-                return;
-            };
-
-            let start = t0.elapsed().as_nanos() as u64;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(id)));
-            if outcome.is_err() {
-                state.poisoned.store(true, Ordering::Release);
-            }
-            let end = t0.elapsed().as_nanos() as u64;
-            my_spans.push(TaskSpan {
-                task: id,
-                worker: wid,
-                start_ns: start,
-                end_ns: end,
-            });
-
-            newly_ready.clear();
-            for &dep in &dependents[id] {
-                if dep_counts[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    newly_ready.push(dep);
-                }
-            }
-            let finished_all = state.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
-            if !newly_ready.is_empty() {
-                let mut h = state.heap.lock().unwrap();
-                for &d in &newly_ready {
-                    h.push(Ready {
-                        priority: graph.node(d).priority,
-                        id: d,
-                    });
-                }
-                drop(h);
-                state.cv.notify_all();
-            } else if finished_all {
-                state.cv.notify_all();
-            }
-        }
-    };
-
-    let scope_panicked = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nthreads).map(|w| s.spawn(move || worker(w))).collect();
-        handles.into_iter().any(|h| h.join().is_err())
-    });
-
-    if scope_panicked || state.poisoned.load(Ordering::Acquire) {
-        return Err(ExecuteError::WorkerPanicked);
-    }
-    let mut all: Vec<TaskSpan> = spans
-        .iter()
-        .flat_map(|m| m.lock().unwrap().split_off(0))
-        .collect();
-    all.sort_by_key(|s| s.start_ns);
-    Ok(ExecutionTrace::new(all, nthreads))
-}
-
 /// Deterministic single-threaded execution in priority order with a caller
 /// supplied mutable context — the reference semantics for tests.
 pub fn execute_serial_ctx<C>(
@@ -1205,24 +1078,6 @@ mod tests {
             migrations * 4 < pairs,
             "too many migrations: {migrations}/{pairs}"
         );
-    }
-
-    #[test]
-    fn heap_baseline_matches_semantics() {
-        // The retained single-heap baseline still executes everything
-        // exactly once with dependencies respected.
-        let g = chain(64);
-        let last = AtomicUsize::new(0);
-        let violations = AtomicUsize::new(0);
-        let trace = execute_parallel_heap_baseline(&g, 4, |id| {
-            let prev = last.swap(id + 1, Ordering::SeqCst);
-            if prev != id {
-                violations.fetch_add(1, Ordering::SeqCst);
-            }
-        })
-        .unwrap();
-        assert_eq!(violations.load(Ordering::SeqCst), 0);
-        assert_eq!(trace.spans().len(), 64);
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() {
         ("FP64/FP16", uniform_map(nt, Precision::Fp16)),
     ] {
         println!("--- {label} ---");
-        for (sname, strategy) in [("TTC", Strategy::Ttc), ("auto (STC)", Strategy::Auto)] {
+        for (sname, strategy) in [("TTC", WirePolicy::Ttc), ("auto (STC)", WirePolicy::Auto)] {
             let rep = simulate_cholesky(&pmap, &cluster, CholeskySimOptions { nb, strategy });
             println!("  {sname:<11} {}", summarize(&rep));
         }

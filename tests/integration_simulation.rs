@@ -4,7 +4,7 @@
 
 use mixedp::prelude::*;
 
-fn opts(strategy: Strategy) -> CholeskySimOptions {
+fn opts(strategy: WirePolicy) -> CholeskySimOptions {
     CholeskySimOptions { nb: 2048, strategy }
 }
 
@@ -16,17 +16,17 @@ fn paper_headline_shapes_single_v100() {
     let fp64 = simulate_cholesky(
         &uniform_map(nt, Precision::Fp64),
         &cluster,
-        opts(Strategy::Auto),
+        opts(WirePolicy::Auto),
     );
     let fp32 = simulate_cholesky(
         &uniform_map(nt, Precision::Fp32),
         &cluster,
-        opts(Strategy::Auto),
+        opts(WirePolicy::Auto),
     );
     let fp16 = simulate_cholesky(
         &uniform_map(nt, Precision::Fp16),
         &cluster,
-        opts(Strategy::Auto),
+        opts(WirePolicy::Auto),
     );
 
     // FP64 ≥ 84% of peak (paper Fig 8a)
@@ -47,8 +47,8 @@ fn stc_beats_ttc_and_reduces_everything() {
     let cluster = ClusterSpec::new(NodeSpec::summit().single_gpu(), 1);
     let nt = 48; // beyond V100 memory: staging traffic matters
     let m = uniform_map(nt, Precision::Fp16x32);
-    let ttc = simulate_cholesky(&m, &cluster, opts(Strategy::Ttc));
-    let stc = simulate_cholesky(&m, &cluster, opts(Strategy::Auto));
+    let ttc = simulate_cholesky(&m, &cluster, opts(WirePolicy::Ttc));
+    let stc = simulate_cholesky(&m, &cluster, opts(WirePolicy::Auto));
     assert!(stc.makespan_s < ttc.makespan_s);
     assert!(stc.h2d_bytes < ttc.h2d_bytes);
     assert!(stc.conversions < ttc.conversions / 5);
@@ -68,7 +68,7 @@ fn multi_node_weak_scaling_grows_throughput() {
         &ClusterSpec::summit(1),
         CholeskySimOptions {
             nb,
-            strategy: Strategy::Auto,
+            strategy: WirePolicy::Auto,
         },
     );
     let t4 = simulate_cholesky(
@@ -76,7 +76,7 @@ fn multi_node_weak_scaling_grows_throughput() {
         &ClusterSpec::summit(4),
         CholeskySimOptions {
             nb,
-            strategy: Strategy::Auto,
+            strategy: WirePolicy::Auto,
         },
     );
     assert!(
@@ -94,7 +94,7 @@ fn strong_scaling_reduces_makespan() {
         simulate_cholesky(
             &uniform_map(nt, Precision::Fp64),
             &ClusterSpec::summit(nodes),
-            opts(Strategy::Auto),
+            opts(WirePolicy::Auto),
         )
         .makespan_s
     };
@@ -107,8 +107,8 @@ fn strong_scaling_reduces_makespan() {
 fn deterministic_simulation() {
     let cluster = ClusterSpec::summit(2);
     let m = uniform_map(20, Precision::Fp16);
-    let a = simulate_cholesky(&m, &cluster, opts(Strategy::Auto));
-    let b = simulate_cholesky(&m, &cluster, opts(Strategy::Auto));
+    let a = simulate_cholesky(&m, &cluster, opts(WirePolicy::Auto));
+    let b = simulate_cholesky(&m, &cluster, opts(WirePolicy::Auto));
     assert_eq!(a.makespan_s, b.makespan_s);
     assert_eq!(a.h2d_bytes, b.h2d_bytes);
     assert_eq!(a.nic_bytes, b.nic_bytes);
@@ -121,7 +121,7 @@ fn occupancy_series_sane() {
     let rep = simulate_cholesky(
         &uniform_map(24, Precision::Fp32),
         &cluster,
-        opts(Strategy::Auto),
+        opts(WirePolicy::Auto),
     );
     let series = rep.occupancy_series(0, 20);
     assert_eq!(series.len(), 20);
