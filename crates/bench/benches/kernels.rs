@@ -81,31 +81,31 @@ fn bench_panel_kernels(c: &mut Criterion) {
     g.bench_function("potrf_fp64", |bch| {
         bch.iter(|| {
             let mut t = spd.clone();
-            potrf_tile_ws(&mut t, &mut ws, true).unwrap();
+            potrf_tile_ws(&mut t, &mut ws).unwrap();
             t
         })
     });
     let mut l = spd.clone();
-    potrf_tile_ws(&mut l, &mut ws, true).unwrap();
+    potrf_tile_ws(&mut l, &mut ws).unwrap();
     let panel = rand_tile(n, n, 3);
     g.bench_function("trsm_fp64", |bch| {
         bch.iter(|| {
             let mut b = panel.clone();
-            trsm_tile_ws(Precision::Fp64, &l, &mut b, &mut ws, true);
+            trsm_tile_ws(Precision::Fp64, &l, &mut b, &mut ws);
             b
         })
     });
     g.bench_function("trsm_fp32", |bch| {
         bch.iter(|| {
             let mut b = panel.clone();
-            trsm_tile_ws(Precision::Fp32, &l, &mut b, &mut ws, true);
+            trsm_tile_ws(Precision::Fp32, &l, &mut b, &mut ws);
             b
         })
     });
     g.bench_function("syrk_fp64", |bch| {
         bch.iter(|| {
             let mut cm = spd.clone();
-            syrk_tile_ws(&panel, &mut cm, &mut ws, true);
+            syrk_tile_ws(&panel, &mut cm, &mut ws);
             cm
         })
     });
@@ -126,7 +126,7 @@ fn bench_blocked_vs_reference(c: &mut Criterion) {
         let mut cm = c0.clone();
         bch.iter(|| {
             cm.copy_from_slice(&c0);
-            blas::gemm_nt_f64_p(&a, &b, &mut cm, n, n, n, false);
+            blas::gemm_nt_f64(&a, &b, &mut cm, n, n, n);
             cm[0]
         })
     });
@@ -143,7 +143,7 @@ fn bench_blocked_vs_reference(c: &mut Criterion) {
         let mut cm = c0.clone();
         bch.iter(|| {
             cm.copy_from_slice(&c0);
-            blas::syrk_ln_f64_p(&a, n, n, &mut cm, false);
+            blas::syrk_ln_f64(&a, n, n, &mut cm);
             cm[0]
         })
     });

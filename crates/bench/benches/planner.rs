@@ -1,10 +1,9 @@
 //! Criterion benches of the planning stages: the precision map rule and
-//! Algorithm 2 (sequential vs rayon-parallel — the ablation DESIGN.md §5
-//! calls out), at Summit scale (NT = 390 ↔ matrix 798,720 at tile 2048).
+//! Algorithm 2, at Summit scale (NT = 390 ↔ matrix 798,720 at tile 2048).
 //! Supports the paper's §VII-A claim that the planner costs < 0.1 s.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mixedp_core::conversion::{plan_conversions, plan_conversions_parallel};
+use mixedp_core::conversion::plan_conversions;
 use mixedp_core::PrecisionMap;
 use mixedp_fp::Precision;
 
@@ -24,9 +23,6 @@ fn bench_planner(c: &mut Criterion) {
         let map = mixed_map(nt);
         g.bench_with_input(BenchmarkId::new("sequential", nt), &map, |b, m| {
             b.iter(|| plan_conversions(m))
-        });
-        g.bench_with_input(BenchmarkId::new("parallel", nt), &map, |b, m| {
-            b.iter(|| plan_conversions_parallel(m))
         });
     }
     g.finish();

@@ -20,8 +20,8 @@ use mixedp_bench::Args;
 use mixedp_core::wire::{pack_tile_into, quantize_through_wire, reference_through_wire, Packing};
 use mixedp_fp::{CommPrecision, Precision, StoragePrecision};
 use mixedp_kernels::{
-    blas, gemm_tile_ws, potrf_blocked_f64, reference_gemm_nt_f64, reference_potrf_f64,
-    reference_syrk_ln_f64, Workspace,
+    blas, gemm_tile_ws, potrf_blocked_f64, potrf_f64, reference_gemm_nt_f64, reference_syrk_ln_f64,
+    Workspace,
 };
 use mixedp_tile::Tile;
 
@@ -52,7 +52,7 @@ fn main() {
     let gemm_flops = 2.0 * (n * n * n) as f64;
     let t = median_secs(reps, || {
         c.copy_from_slice(&c0);
-        blas::gemm_nt_f64_p(&a, &b, &mut c, n, n, n, false);
+        blas::gemm_nt_f64(&a, &b, &mut c, n, n, n);
     });
     push("gemm_nt_f64_blocked", gemm_flops, t);
     let t_blk = t;
@@ -67,7 +67,7 @@ fn main() {
     let syrk_flops = (n * (n + 1) * n) as f64;
     let t = median_secs(reps, || {
         c.copy_from_slice(&c0);
-        blas::syrk_ln_f64_p(&a, n, n, &mut c, false);
+        blas::syrk_ln_f64(&a, n, n, &mut c);
     });
     push("syrk_ln_f64_blocked", syrk_flops, t);
     let t_syrk = t;
@@ -97,7 +97,7 @@ fn main() {
     push("potrf_f64_blocked", potrf_flops, t);
     let t = median_secs(reps, || {
         w.copy_from_slice(&spd);
-        reference_potrf_f64(&mut w, n).unwrap();
+        potrf_f64(&mut w, n).unwrap();
     });
     push("potrf_f64_reference", potrf_flops, t);
 

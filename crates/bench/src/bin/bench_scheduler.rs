@@ -22,11 +22,12 @@
 //! Run: `cargo run --release -p mixedp-bench --bin bench_scheduler`
 //! Options: `--workers=8 --reps=5 --quick --out=BENCH_scheduler.json`
 
-use mixedp_bench::timing::{median_secs, min_secs, scan_json_f64, spin};
+use mixedp_bench::timing::{median_secs, spin};
 use mixedp_bench::Args;
 use mixedp_core::factorize::{build_dag, kernel_cost, DEFAULT_KERNEL_COSTS};
 use mixedp_obs as obs;
 use mixedp_runtime::{execute_parallel, ExecutionTrace, TaskGraph};
+use std::time::Instant;
 
 /// The last measurement of the retired single-heap executor (one global
 /// `Mutex<BinaryHeap>` ready queue, `notify_all` wake-ups), from the
@@ -57,6 +58,29 @@ fn json_dispatch(r: &DispatchResult) -> String {
         "{{\"tasks\": {}, \"ns_per_task_worksteal\": {:.1}}}",
         r.tasks, r.ns_worksteal
     )
+}
+
+/// Telemetry-off and telemetry-on ns per task of `run` over a `tasks`-task
+/// graph: the minimum of `reps` interleaved off/on runs, after one untimed
+/// warm-up of each. Interleaving (alternating which arm goes first) spreads
+/// host drift over both arms; the minimum drops preemption noise.
+fn telemetry_off_on_ns(tasks: usize, reps: usize, mut run: impl FnMut()) -> (f64, f64) {
+    let mut best = [f64::INFINITY; 2];
+    for rep in 0..=reps {
+        for on in [rep % 2 == 1, rep % 2 == 0] {
+            obs::set_enabled(on);
+            let t0 = Instant::now();
+            run();
+            let secs = t0.elapsed().as_secs_f64();
+            if rep > 0 {
+                best[on as usize] = best[on as usize].min(secs);
+            }
+        }
+    }
+    obs::set_enabled(false);
+    obs::reset_rings();
+    let ns = |secs: f64| secs * 1e9 / tasks as f64;
+    (ns(best[0]), ns(best[1]))
 }
 
 struct OccupancyResult {
@@ -104,53 +128,24 @@ fn main() {
         chol_r.tasks, chol_r.ns_worksteal
     );
 
-    // --- fault-tolerance wrapper overhead vs the committed snapshot ------
-    // PR 3 wrapped every task body in catch_unwind + a fault-plan probe
-    // (one `is_noop` branch when no faults are configured). The fault-free
-    // dispatch path must stay within noise of the committed pre-run
-    // numbers; report the delta so regressions are visible in the JSON.
-    let committed = std::fs::read_to_string(&out).ok();
-    let ft_overhead = committed.as_deref().and_then(|b| {
-        // only comparable against a same-config snapshot: quick vs full
-        // differ in task counts and unit durations
-        if !b.contains(&format!("\"quick\": {quick}"))
-            || !b.contains(&format!("\"tasks\": {}", flat_r.tasks))
-        {
-            println!("ft wrapper overhead: committed {out} used a different config; skipping");
-            return None;
-        }
-        let flat_base = scan_json_f64(b, "flat", "ns_per_task_worksteal")?;
-        let chol_base = scan_json_f64(b, "cholesky_dispatch", "ns_per_task_worksteal")?;
-        let flat_pct = 100.0 * (flat_r.ns_worksteal - flat_base) / flat_base;
-        let chol_pct = 100.0 * (chol_r.ns_worksteal - chol_base) / chol_base;
-        println!(
-            "ft wrapper overhead vs committed {out}: flat {flat_pct:+.2}% ({flat_base:.1} -> {:.1} ns/task), chol {chol_pct:+.2}% ({chol_base:.1} -> {:.1} ns/task)",
-            flat_r.ns_worksteal, chol_r.ns_worksteal
-        );
-        Some((flat_base, flat_pct, chol_base, chol_pct))
-    });
-
     // --- telemetry on/off dispatch delta ---------------------------------
     // Disabled spans cost one relaxed load per task; enabled spans add one
     // ring store (the scheduler reuses its existing clock reads). Measure
     // both states on the same graphs so the instrumentation cost is
-    // tracked in the JSON alongside the dispatch numbers.
-    obs::set_enabled(true);
-    let flat_on = median_secs(reps, || {
+    // tracked in the JSON alongside the dispatch numbers. Every delta is
+    // an interleaved min-of-N: a single-sample comparison swings far more
+    // than the effect.
+    let t_reps = reps.max(9);
+    let (flat_off, flat_on) = telemetry_off_on_ns(flat_r.tasks, t_reps, || {
         execute_parallel(&flat, workers, |_| {}).unwrap();
-    }) * 1e9
-        / flat_r.tasks as f64;
-    let chol_on = median_secs(reps, || {
+    });
+    let (chol_off, chol_on) = telemetry_off_on_ns(chol_r.tasks, t_reps, || {
         execute_parallel(&dag.graph, workers, |_| {}).unwrap();
-    }) * 1e9
-        / chol_r.tasks as f64;
-    obs::set_enabled(false);
-    obs::reset_rings();
-    let flat_tele_pct = 100.0 * (flat_on - flat_r.ns_worksteal) / flat_r.ns_worksteal;
-    let chol_tele_pct = 100.0 * (chol_on - chol_r.ns_worksteal) / chol_r.ns_worksteal;
+    });
+    let flat_tele_pct = 100.0 * (flat_on - flat_off) / flat_off;
+    let chol_tele_pct = 100.0 * (chol_on - chol_off) / chol_off;
     println!(
-        "telemetry on/off: flat {:.1} -> {:.1} ns/task ({flat_tele_pct:+.2}%), chol {:.1} -> {:.1} ns/task ({chol_tele_pct:+.2}%)",
-        flat_r.ns_worksteal, flat_on, chol_r.ns_worksteal, chol_on
+        "telemetry on/off: flat {flat_off:.1} -> {flat_on:.1} ns/task ({flat_tele_pct:+.2}%), chol {chol_off:.1} -> {chol_on:.1} ns/task ({chol_tele_pct:+.2}%)"
     );
     // Cost-weighted bodies: one ring store amortized over kernel-scale
     // work — the realistic overhead, and the number the <2% acceptance
@@ -166,19 +161,9 @@ fn main() {
         .iter()
         .map(|t| kernel_cost(&DEFAULT_KERNEL_COSTS, t.kind()) as u64 * unit_ns)
         .collect();
-    let wn = wdag.graph.len() as f64;
-    let w_reps = reps.max(9); // min-of-N wants enough samples to hit the floor
-    let w_off = min_secs(w_reps, || {
+    let (w_off, w_on) = telemetry_off_on_ns(wdag.graph.len(), t_reps, || {
         execute_parallel(&wdag.graph, occ_workers, |id| spin(wcosts[id])).unwrap();
-    }) * 1e9
-        / wn;
-    obs::set_enabled(true);
-    let w_on = min_secs(w_reps, || {
-        execute_parallel(&wdag.graph, occ_workers, |id| spin(wcosts[id])).unwrap();
-    }) * 1e9
-        / wn;
-    obs::set_enabled(false);
-    obs::reset_rings();
+    });
     let w_pct = 100.0 * (w_on - w_off) / w_off;
     println!(
         "telemetry on/off (cost-weighted nt=16, {occ_workers} workers): {w_off:.1} -> {w_on:.1} ns/task ({w_pct:+.2}%)"
@@ -231,15 +216,8 @@ fn main() {
             .trim_start_matches('{')
             .trim_end_matches('}')
     ));
-    if let Some((flat_base, flat_pct, chol_base, chol_pct)) = ft_overhead {
-        json.push_str(&format!(
-            "  \"ft_overhead_vs_committed\": {{\"flat_baseline_ns\": {flat_base:.1}, \"flat_ns\": {:.1}, \"flat_pct\": {flat_pct:.2}, \"chol_baseline_ns\": {chol_base:.1}, \"chol_ns\": {:.1}, \"chol_pct\": {chol_pct:.2}}},\n",
-            flat_r.ns_worksteal, chol_r.ns_worksteal
-        ));
-    }
     json.push_str(&format!(
-        "  \"telemetry\": {{\"flat_ns_off\": {:.1}, \"flat_ns_on\": {flat_on:.1}, \"flat_pct\": {flat_tele_pct:.2}, \"chol_ns_off\": {:.1}, \"chol_ns_on\": {chol_on:.1}, \"chol_pct\": {chol_tele_pct:.2}, \"weighted_ns_off\": {w_off:.1}, \"weighted_ns_on\": {w_on:.1}, \"weighted_pct\": {w_pct:.2}}},\n",
-        flat_r.ns_worksteal, chol_r.ns_worksteal
+        "  \"telemetry\": {{\"reps\": {t_reps}, \"flat_ns_off\": {flat_off:.1}, \"flat_ns_on\": {flat_on:.1}, \"flat_pct\": {flat_tele_pct:.2}, \"chol_ns_off\": {chol_off:.1}, \"chol_ns_on\": {chol_on:.1}, \"chol_pct\": {chol_tele_pct:.2}, \"weighted_ns_off\": {w_off:.1}, \"weighted_ns_on\": {w_on:.1}, \"weighted_pct\": {w_pct:.2}}},\n"
     ));
     json.push_str("  \"occupancy\": [\n");
     for (i, r) in occ_results.iter().enumerate() {

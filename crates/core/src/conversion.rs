@@ -23,14 +23,14 @@
 //! the wire precision above storage — this is exactly the role of the
 //! algorithm's `comm ≥ storage ⇒ comm = storage` early exit.
 //!
-//! The paper notes the per-tile computations are independent; a rayon
-//! parallel version is provided and asserted equivalent.
+//! The per-tile computations are independent, but the planner runs
+//! sequentially: at every scale the paper uses, a parallel plan was slower
+//! (EXPERIMENTS.md, Fig 4).
 
 use crate::precision_map::PrecisionMap;
 use mixedp_fp::{comm_of_storage, comm_requirement, higher_comm, CommPrecision};
 use mixedp_kernels::trsm_effective_precision;
 use mixedp_obs as obs;
-use rayon::prelude::*;
 
 /// Wire-precision policy for every payload a run ships between owners —
 /// the numerical distributed engine and the simulator share it.
@@ -177,16 +177,6 @@ fn plan_tile(pmap: &PrecisionMap, m: usize, j: usize) -> (CommPrecision, bool) {
     (comm, true)
 }
 
-/// Record a finished plan in the metrics registry and as a `Convert` span
-/// whose arg is the STC tile count.
-fn record_plan(plan: &ConversionPlan, start_ns: u64) {
-    static PLANS: obs::LazyCounter = obs::LazyCounter::new("convert.plans");
-    static STC_TILES: obs::LazyCounter = obs::LazyCounter::new("convert.stc_tiles");
-    PLANS.inc();
-    STC_TILES.add(plan.stc_count() as u64);
-    obs::span_end(start_ns, obs::EventKind::Convert, plan.stc_count() as u64);
-}
-
 /// Run Algorithm 2 sequentially.
 pub fn plan_conversions(pmap: &PrecisionMap) -> ConversionPlan {
     let sp = obs::span_start();
@@ -201,26 +191,12 @@ pub fn plan_conversions(pmap: &PrecisionMap) -> ConversionPlan {
         }
     }
     let plan = ConversionPlan { nt, comm, stc };
-    record_plan(&plan, sp);
-    plan
-}
-
-/// Rayon-parallel Algorithm 2 (the paper notes each tile's computation is
-/// independent).
-pub fn plan_conversions_parallel(pmap: &PrecisionMap) -> ConversionPlan {
-    let sp = obs::span_start();
-    let nt = pmap.nt();
-    let coords: Vec<(usize, usize)> = (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
-    let planned: Vec<(CommPrecision, bool)> = coords
-        .par_iter()
-        .map(|&(i, j)| plan_tile(pmap, i, j))
-        .collect();
-    let plan = ConversionPlan {
-        nt,
-        comm: planned.iter().map(|&(c, _)| c).collect(),
-        stc: planned.iter().map(|&(_, s)| s).collect(),
-    };
-    record_plan(&plan, sp);
+    // Metrics, and a `Convert` span whose arg is the STC tile count.
+    static PLANS: obs::LazyCounter = obs::LazyCounter::new("convert.plans");
+    static STC_TILES: obs::LazyCounter = obs::LazyCounter::new("convert.stc_tiles");
+    PLANS.inc();
+    STC_TILES.add(plan.stc_count() as u64);
+    obs::span_end(sp, obs::EventKind::Convert, plan.stc_count() as u64);
     plan
 }
 
@@ -350,23 +326,6 @@ mod tests {
         let plan = plan_conversions(&uniform_map(4, Precision::Fp32));
         assert_eq!(plan.comm(3, 2), CommPrecision::Fp32);
         assert!(!plan.is_stc(3, 2));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        for nt in [1, 2, 3, 8, 17] {
-            let m = PrecisionMap::from_fn(nt, |i, j| match (i * 31 + j * 17) % 4 {
-                0 => Precision::Fp64,
-                1 => Precision::Fp32,
-                2 => Precision::Fp16x32,
-                _ => Precision::Fp16,
-            });
-            assert_eq!(
-                plan_conversions(&m),
-                plan_conversions_parallel(&m),
-                "nt={nt}"
-            );
-        }
     }
 
     #[test]

@@ -362,8 +362,8 @@ pub struct EscalationEvent {
 /// abort of the classic path becomes a reported, bounded outcome here.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FactorError {
-    /// Breakdown with the implicated tiles already fully FP64: the matrix
-    /// is genuinely not positive definite — no escalation can help.
+    /// Breakdown with the whole precision map already FP64: the matrix is
+    /// genuinely not positive definite — no escalation can help.
     NotSpd(NotSpd),
     /// Non-finite output with no escalation left: bad input data (NaN/Inf
     /// in the matrix itself) rather than precision breakdown.
@@ -469,9 +469,8 @@ impl FactorOptions {
 ///
 /// Each worker owns a [`Workspace`] (threaded through the scheduler's
 /// per-worker-context API), so kernel staging performs zero heap
-/// allocations once the buffers are warm. When `nthreads > 1` the kernels
-/// themselves run sequentially — the DAG already saturates the workers, and
-/// nested rayon parallelism inside kernels would oversubscribe the machine.
+/// allocations once the buffers are warm. The kernels themselves run
+/// sequentially: all parallelism comes from the DAG's workers.
 ///
 /// # Producer-side conversion caching (STC)
 ///
@@ -517,7 +516,8 @@ pub(crate) fn single_shot_options(nthreads: usize) -> FactorOptions {
 /// this loop with no budget). A breakdown (non-SPD pivot, or
 /// NaN/Inf caught by the post-kernel health check) escalates the offending
 /// tile's row/column one level toward FP64 in a working copy of the
-/// precision map, re-plans conversions, and refactorizes — bounded by
+/// precision map (the whole map, when that cross is already FP64),
+/// re-plans conversions, and refactorizes — bounded by
 /// `opts.escalation_budget` — while task panics are retried by the runtime
 /// under `opts.retry`. Every recovery action is recorded in the returned
 /// [`FactorStats`] (`factor_attempts`, `escalations`, `task_retries`).
@@ -568,10 +568,15 @@ pub fn factorize_mp_recovering(
             // (rate faults hash the attempt number); never charge the map.
             0
         } else {
-            let changed = map.escalate_cross(tile.0, tile.1);
+            let mut changed = map.escalate_cross(tile.0, tile.1);
             if changed == 0 {
-                // The whole implicated cross already runs in FP64: this is
-                // a genuine numerical failure, not precision breakdown.
+                // The cross already runs in FP64, but narrower tiles
+                // outside it fed its updates: step the whole map.
+                changed = map.escalate_all();
+            }
+            if changed == 0 {
+                // The whole map is FP64: this is a genuine numerical
+                // failure, not precision breakdown.
                 return Err(match cause {
                     BreakdownCause::NotSpd => FactorError::NotSpd(NotSpd {
                         column: tile.0 * a.nb(),
@@ -702,10 +707,6 @@ pub(crate) fn run_attempt(
     let conv_avoided = AtomicU64::new(0);
     let conv_bytes_avoided = AtomicU64::new(0);
 
-    // With several DAG workers the kernels run sequentially (no nested
-    // rayon); the serial scheduler lets kernels use internal parallelism.
-    let kernel_par = nthreads <= 1;
-
     let release_reader = |ti: usize| {
         if readers[ti].fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last GEMM consumer done: free the cached compute buffers.
@@ -756,7 +757,7 @@ pub(crate) fn run_attempt(
         match t {
             CholeskyTask::Potrf { k } => {
                 let mut c = write_pt(&cells[idx(k, k)]);
-                if potrf_tile_ws(&mut c, ws, kernel_par).is_err() {
+                if potrf_tile_ws(&mut c, ws).is_err() {
                     drop(c);
                     record_failure(task_idx, BreakdownCause::NotSpd);
                     return;
@@ -774,7 +775,7 @@ pub(crate) fn run_attempt(
                 {
                     let l = input((k, k), (m, k));
                     let mut b = write_pt(&cells[ti]);
-                    trsm_tile_ws(pmap.kernel(m, k), &l, &mut b, ws, kernel_par);
+                    trsm_tile_ws(pmap.kernel(m, k), &l, &mut b, ws);
                 }
                 check_output(task_idx, &t);
                 // STC: tile (m,k) is now final. Quantize it once into each
@@ -812,7 +813,7 @@ pub(crate) fn run_attempt(
                 {
                     let a_in = input((m, k), (m, m));
                     let mut c = write_pt(&cells[idx(m, m)]);
-                    syrk_tile_ws(&a_in, &mut c, ws, kernel_par);
+                    syrk_tile_ws(&a_in, &mut c, ws);
                 }
                 check_output(task_idx, &t);
             }
@@ -838,7 +839,6 @@ pub(crate) fn run_attempt(
                         bbuf.as_deref(),
                         &mut c,
                         ws,
-                        kernel_par,
                     );
                     conv_performed.fetch_add(local as u64, Ordering::Relaxed);
                     for buf in [&abuf, &bbuf].into_iter().flatten() {

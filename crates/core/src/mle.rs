@@ -3,7 +3,7 @@
 //! application pipeline of the paper — every likelihood evaluation builds
 //! `Σ(θ)` tile-wise under the precision map and factors it with Algorithm 1).
 
-use crate::factorize::{factorize_mp_recovering, FactorOptions, FactorStats};
+use crate::factorize::{factorize_mp_recovering, FactorError, FactorOptions, FactorStats};
 use crate::precision_map::PrecisionMap;
 use mixedp_fp::Precision;
 use mixedp_geostats::assemble::covariance_tiles;
@@ -74,7 +74,10 @@ impl MpBackend {
     /// [`LoglikBackend::loglik`] plus the [`FactorStats`] of the run, so
     /// callers see what the factorization cost — in particular whether
     /// (and how) precision escalation recovered a breakdown
-    /// (`stats.escalations`, `stats.factor_attempts`).
+    /// (`stats.escalations`, `stats.factor_attempts`). A rejected
+    /// evaluation (`None`) bumps the metrics counter
+    /// `mle.rejected.<cause>`, with cause `not_spd`, `non_finite`,
+    /// `exhausted`, `task_failed`, `bad_diagonal` or `nonfinite_quadform`.
     pub fn loglik_detailed(
         &self,
         model: &dyn CovarianceModel,
@@ -112,7 +115,17 @@ impl MpBackend {
             renarrow_storage: true,
             ..Default::default()
         };
-        let stats = factorize_mp_recovering(&mut sigma, &pmap, &opts).ok()?;
+        let stats = match factorize_mp_recovering(&mut sigma, &pmap, &opts) {
+            Ok(stats) => stats,
+            Err(e) => {
+                return reject(match e {
+                    FactorError::NotSpd(_) => "not_spd",
+                    FactorError::NonFinite { .. } => "non_finite",
+                    FactorError::EscalationExhausted { .. } => "exhausted",
+                    FactorError::TaskFailed { .. } | FactorError::WorkerPanicked => "task_failed",
+                })
+            }
+        };
         // log|Σ| and the quadratic form via the (widened) factor.
         let l = sigma.to_dense_lower();
         let ld = l.data();
@@ -120,7 +133,7 @@ impl MpBackend {
         for i in 0..n {
             let d = ld[i * n + i];
             if d <= 0.0 || !d.is_finite() {
-                return None;
+                return reject("bad_diagonal");
             }
             log_det += d.ln();
         }
@@ -129,10 +142,16 @@ impl MpBackend {
         blas::forward_solve_in_place(ld, n, &mut v);
         let v2: f64 = v.iter().map(|x| x * x).sum();
         if !v2.is_finite() {
-            return None;
+            return reject("nonfinite_quadform");
         }
         Some((assemble_loglik(n, log_det, v2), stats))
     }
+}
+
+/// Count a rejected likelihood evaluation under `mle.rejected.<cause>`.
+fn reject<T>(cause: &str) -> Option<T> {
+    obs::metrics::counter(&format!("mle.rejected.{cause}")).inc();
+    None
 }
 
 impl LoglikBackend for MpBackend {
@@ -237,12 +256,17 @@ mod tests {
 
         let mut no_recovery = MpBackend::new(1e-4, 28, 1);
         no_recovery.escalation_budget = 0;
+        let exhausted = obs::metrics::counter("mle.rejected.exhausted");
+        let before = exhausted.get();
         assert!(
             no_recovery
                 .loglik_detailed(&model, &locs, &theta, &z)
                 .is_none(),
             "this configuration must trigger NotSpd without recovery"
         );
+        // The rejection names its cause (other tests may add to the
+        // process-wide counter concurrently, never subtract).
+        assert!(exhausted.get() > before, "rejection cause not counted");
 
         let be = MpBackend::new(1e-4, 28, 1);
         let (ll, stats) = be.loglik_detailed(&model, &locs, &theta, &z).unwrap();

@@ -151,6 +151,20 @@ impl PrecisionMap {
         changed
     }
 
+    /// Escalate every tile one level toward FP64: the recovery step when
+    /// a breakdown's cross is already FP64 but narrower tiles elsewhere
+    /// still fed it. Returns the number of tiles that moved; `0` means the
+    /// whole map is FP64.
+    pub fn escalate_all(&mut self) -> usize {
+        let mut changed = 0;
+        for p in &mut self.kernel {
+            let next = escalate(*p);
+            changed += usize::from(next != *p);
+            *p = next;
+        }
+        changed
+    }
+
     /// ASCII heatmap (one char per tile: `8`=FP64, `4`=FP32, `h`=FP16_32,
     /// `q`=FP16) for terminal rendering of Figs 2a / 7.
     pub fn render(&self) -> String {
@@ -309,6 +323,22 @@ mod tests {
         // an all-FP64 cross reports zero movement (genuine failure signal)
         let mut full = uniform_map(nt, Precision::Fp64);
         assert_eq!(full.escalate_cross(3, 1), 0);
+    }
+
+    #[test]
+    fn escalate_all_steps_every_tile_until_fp64() {
+        let nt = 4;
+        let mut m = uniform_map(nt, Precision::Fp16);
+        m.escalate_tile(3, 0);
+        // 6 off-diagonal tiles move; the diagonal is already FP64
+        assert_eq!(m.escalate_all(), 6);
+        assert_eq!(m.kernel(2, 1), Precision::Fp16x32);
+        assert_eq!(m.kernel(3, 0), Precision::Fp32);
+        assert_eq!(m.escalate_all(), 6);
+        assert_eq!(m.kernel(3, 0), Precision::Fp64);
+        assert_eq!(m.escalate_all(), 5);
+        assert_eq!(m, uniform_map(nt, Precision::Fp64));
+        assert_eq!(m.escalate_all(), 0);
     }
 
     #[test]

@@ -72,6 +72,51 @@ fn aggressive_map_recovers_via_escalation_where_classic_path_dies() {
 }
 
 #[test]
+fn breakdown_under_an_fp64_cross_escalates_the_whole_map() {
+    // Row and column 3 run in FP64, every other tile in FP16. POTRF(3)
+    // still breaks down, because the FP16 tiles outside the cross fed the
+    // updates of tile (3,3). Escalating the cross moves nothing, so the
+    // recovery steps the whole map instead of reporting NotSpd.
+    let (n, nb, k) = (48, 8, 3);
+    let a0 = fragile_spd(n, nb, 1e-3);
+    let dense = a0.to_dense_symmetric();
+    let nt = a0.nt();
+    let pmap = PrecisionMap::from_fn(nt, |i, j| {
+        if i == k || j == k {
+            Precision::Fp64
+        } else {
+            Precision::Fp16
+        }
+    });
+    let mut broken = a0.clone();
+    assert_eq!(
+        factorize_mp(&mut broken, &pmap, 1).unwrap_err().column,
+        k * nb,
+        "the first breakdown must be POTRF({k}) under its FP64 cross"
+    );
+
+    let mut ref64 = a0.clone();
+    factorize_mp(&mut ref64, &uniform_map(nt, Precision::Fp64), 1).unwrap();
+    for nthreads in [1usize, 4] {
+        let mut l = a0.clone();
+        let stats = factorize_mp_recovering(&mut l, &pmap, &FactorOptions::with_threads(nthreads))
+            .expect("escalating the whole map must rescue an SPD matrix");
+        let first = &stats.escalations[0];
+        assert_eq!(first.tile, (k, k));
+        assert_eq!(first.cause, BreakdownCause::NotSpd);
+        // every off-diagonal tile outside the cross moved one step
+        assert_eq!(first.escalated_tiles, nt * (nt - 1) / 2 - (nt - 1));
+        let err = reconstruction_error(&dense, &l.to_dense_lower());
+        let err64 = reconstruction_error(&dense, &ref64.to_dense_lower());
+        assert!(
+            err.is_finite() && err < 1e-2,
+            "recovered factor must reconstruct the matrix (err {err:e})"
+        );
+        assert!(err64 <= err, "FP64 reference is the accuracy floor");
+    }
+}
+
+#[test]
 fn genuinely_indefinite_matrix_is_not_rescued() {
     // Escalation must not mask real indefiniteness: when the implicated
     // tiles are already FP64 the driver reports NotSpd instead of looping.

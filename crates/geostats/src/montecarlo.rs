@@ -8,10 +8,11 @@ use crate::covariance::CovarianceModel;
 use crate::datagen::generate_field;
 use crate::locations::Location;
 use crate::loglik::LoglikBackend;
-use crate::mle::{estimate, MleConfig};
+use crate::mle::{estimate, MleConfig, MleResult};
+use mixedp_runtime::{execute_parallel, TaskGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Monte-Carlo study configuration.
 #[derive(Debug, Clone)]
@@ -49,6 +50,8 @@ impl MonteCarloResult {
 /// Run the study: replica `r` uses seed `seed + r` for both its locations
 /// and its field, so different backends see *identical* datasets — the
 /// comparison across accuracy levels in Figs 5–6 is paired, as in the paper.
+/// Replicas run as independent tasks on the task runtime, one worker per
+/// available CPU.
 pub fn run_monte_carlo(
     model: &dyn CovarianceModel,
     n_locations: usize,
@@ -57,18 +60,26 @@ pub fn run_monte_carlo(
     backend: &dyn LoglikBackend,
 ) -> MonteCarloResult {
     assert_eq!(cfg.theta_true.len(), model.nparams());
-    let results: Vec<(Vec<f64>, bool)> = (0..cfg.replicas)
-        .into_par_iter()
-        .map(|r| {
-            let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(r as u64));
-            let locs = gen_locs(n_locations, &mut rng);
-            let z = generate_field(model, &locs, &cfg.theta_true, &mut rng);
-            let res = estimate(model, &locs, &z, &cfg.mle, backend);
-            (res.theta_hat, res.converged)
-        })
+    let mut graph = TaskGraph::with_capacity(cfg.replicas);
+    for _ in 0..cfg.replicas {
+        graph.add_task(vec![], 0);
+    }
+    let slots: Vec<Mutex<Option<MleResult>>> =
+        (0..cfg.replicas).map(|_| Mutex::new(None)).collect();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    execute_parallel(&graph, workers, |r| {
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(r as u64));
+        let locs = gen_locs(n_locations, &mut rng);
+        let z = generate_field(model, &locs, &cfg.theta_true, &mut rng);
+        *slots[r].lock().unwrap() = Some(estimate(model, &locs, &z, &cfg.mle, backend));
+    })
+    .expect("Monte-Carlo replica panicked");
+    let results: Vec<MleResult> = slots
+        .into_iter()
+        .map(|m| m.into_inner().unwrap().expect("replica not run"))
         .collect();
-    let estimates: Vec<Vec<f64>> = results.iter().map(|(e, _)| e.clone()).collect();
-    let non_converged = results.iter().filter(|(_, c)| !c).count();
+    let non_converged = results.iter().filter(|r| !r.converged).count();
+    let estimates: Vec<Vec<f64>> = results.into_iter().map(|r| r.theta_hat).collect();
     let p = model.nparams();
     let boxplots = (0..p)
         .map(|j| {
@@ -135,5 +146,14 @@ mod tests {
         let a = run_monte_carlo(&model, 64, gen_locations_2d, &cfg, &ExactBackend);
         let b = run_monte_carlo(&model, 64, gen_locations_2d, &cfg, &ExactBackend);
         assert_eq!(a.estimates, b.estimates);
+        // Paired design: replica r is a direct estimate on the locations
+        // and field drawn from seed `seed + r`.
+        for (r, got) in a.estimates.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(cfg.seed + r as u64);
+            let locs = gen_locations_2d(64, &mut rng);
+            let z = generate_field(&model, &locs, &cfg.theta_true, &mut rng);
+            let want = estimate(&model, &locs, &z, &cfg.mle, &ExactBackend);
+            assert_eq!(got, &want.theta_hat, "replica {r}");
+        }
     }
 }

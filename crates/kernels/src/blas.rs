@@ -23,19 +23,14 @@
 //! `+0.0`, and `C` receives a single subtraction per k-block — the exact
 //! operation sequence of `c -= aᵢ·bⱼ`. Zero-padded edge lanes are discarded
 //! before write-back and cannot perturb real lanes. The k-block (`pc`) loop
-//! is outermost so this order is preserved under `MC`/`NC` blocking, and the
-//! parallel path stripes whole rows of C, which keeps every per-element
-//! operation sequence unchanged. Tile kernels always have `k = nb ≤ KC`, so
-//! mixed-precision factorizations are reproducible serial-vs-parallel and
-//! blocked-vs-reference.
+//! is outermost so this order is preserved under `MC`/`NC` blocking. Tile
+//! kernels always have `k = nb ≤ KC`, so mixed-precision factorizations are
+//! reproducible blocked-vs-reference.
 //!
-//! Every large kernel has a `*_p` variant with an explicit `parallel: bool`;
-//! the scheduler passes `false` when it already runs tasks on several
-//! workers, which avoids nested-parallelism oversubscription. The legacy
-//! names keep the old auto-threshold behaviour.
+//! Every kernel runs sequentially on the calling thread: parallelism comes
+//! from the task runtime, which runs independent kernels on its workers.
 
 use crate::workspace::{with_thread_workspace, Workspace};
-use rayon::prelude::*;
 
 /// Error: the matrix was not (numerically) symmetric positive definite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +46,6 @@ impl std::fmt::Display for NotSpd {
 }
 
 impl std::error::Error for NotSpd {}
-
-/// Minimum row count before a kernel bothers spawning rayon tasks.
-const PAR_THRESHOLD: usize = 64;
 
 /// Micro-kernel register block: rows of A per micro-tile.
 pub const MR: usize = 4;
@@ -136,12 +128,15 @@ where
     ]
 }
 
-/// Sequential blocked core of `C ← C − A Bᵀ` on an `m`-row stripe.
-/// `a` holds the stripe's rows of A (`m × k`), `b` the full `n × k` operand.
-fn gemm_nt_seq<T>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize, z: &[T])
+/// Blocked `C ← C − A Bᵀ` with `A: m × k`, `B: n × k`, `C: m × n`; `z` is
+/// the zero row that pads edge micro-tiles.
+fn gemm_nt_blocked<T>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize, z: &[T])
 where
     T: Copy + Default + core::ops::Mul<Output = T> + core::ops::AddAssign + core::ops::SubAssign,
 {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), n * k);
+    assert_eq!(c.len(), m * n);
     let mut pc = 0;
     while pc < k {
         let kc = (k - pc).min(KC);
@@ -188,85 +183,15 @@ where
     }
 }
 
-/// Blocked `C ← C − A Bᵀ` with explicit parallelism control. The parallel
-/// path stripes rows of C (and the matching rows of A) across threads; each
-/// stripe runs the identical sequential core, so results are bit-equal to
-/// the `parallel = false` path.
-#[allow(clippy::too_many_arguments)]
-fn gemm_nt_blocked<T>(
-    a: &[T],
-    b: &[T],
-    c: &mut [T],
-    m: usize,
-    n: usize,
-    k: usize,
-    parallel: bool,
-    z: &'static [T],
-) where
-    T: Copy
-        + Default
-        + core::ops::Mul<Output = T>
-        + core::ops::AddAssign
-        + core::ops::SubAssign
-        + Send
-        + Sync,
-{
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), n * k);
-    assert_eq!(c.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if parallel && m >= PAR_THRESHOLD {
-        let nthr = rayon::current_num_threads().max(1);
-        let rows = m.div_ceil(nthr).max(MR);
-        c.par_chunks_mut(rows * n).enumerate().for_each(|(s, cs)| {
-            let i0 = s * rows;
-            let ms = cs.len() / n;
-            gemm_nt_seq(&a[i0 * k..(i0 + ms) * k], b, cs, ms, n, k, z);
-        });
-    } else {
-        gemm_nt_seq(a, b, c, m, n, k, z);
-    }
-}
-
-/// `C ← C − A Bᵀ` with `A: m × k`, `B: n × k`, `C: m × n` (f64), blocked,
-/// with an explicit `parallel` switch.
-pub fn gemm_nt_f64_p(
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-    parallel: bool,
-) {
-    gemm_nt_blocked(a, b, c, m, n, k, parallel, &ZEROS_F64);
-}
-
-/// `C ← C − A Bᵀ` (f64). Legacy auto-threshold entry point.
+/// `C ← C − A Bᵀ` with `A: m × k`, `B: n × k`, `C: m × n` (f64), blocked.
 pub fn gemm_nt_f64(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize) {
-    gemm_nt_f64_p(a, b, c, m, n, k, m >= PAR_THRESHOLD);
+    gemm_nt_blocked(a, b, c, m, n, k, &ZEROS_F64);
 }
 
 /// `C ← C − A Bᵀ` in f32 arithmetic (FP32 accumulation — also the compute
-/// path for TF32 / FP16_32 / BF16_32 after their input quantization), with
-/// an explicit `parallel` switch.
-pub fn gemm_nt_f32_p(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    parallel: bool,
-) {
-    gemm_nt_blocked(a, b, c, m, n, k, parallel, &ZEROS_F32);
-}
-
-/// `C ← C − A Bᵀ` (f32). Legacy auto-threshold entry point.
+/// path for TF32 / FP16_32 / BF16_32 after their input quantization).
 pub fn gemm_nt_f32(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
-    gemm_nt_f32_p(a, b, c, m, n, k, m >= PAR_THRESHOLD);
+    gemm_nt_blocked(a, b, c, m, n, k, &ZEROS_F32);
 }
 
 /// Naive row-dot `C ← C − A Bᵀ` (f64): the sequential oracle the blocked
@@ -300,27 +225,28 @@ pub fn reference_gemm_nt_f32(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: u
     }
 }
 
-/// Sequential blocked SYRK core on a row stripe `[row0, row0 + rows)` of C.
-/// `c` is the stripe (`rows × m`); `a` is the full `m × k` panel.
-fn syrk_ln_seq(a: &[f64], m: usize, k: usize, c: &mut [f64], row0: usize, rows: usize) {
+/// `C ← C − A Aᵀ` on the lower triangle of the `m × m` matrix `C`,
+/// with `A` an `m × k` panel. Blocked.
+pub fn syrk_ln_f64(a: &[f64], m: usize, k: usize, c: &mut [f64]) {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(c.len(), m * m);
     let z = &ZEROS_F64;
     let mut pc = 0;
     while pc < k {
         let kc = (k - pc).min(KC);
         let mut ir = 0;
-        while ir < rows {
-            let gi = row0 + ir;
-            let mr = (rows - ir).min(MR);
+        while ir < m {
+            let mr = (m - ir).min(MR);
             let ar = [
-                row_or(a, m, gi, k, pc, kc, z),
-                row_or(a, m, gi + 1, k, pc, kc, z),
-                row_or(a, m, gi + 2, k, pc, kc, z),
-                row_or(a, m, gi + 3, k, pc, kc, z),
+                row_or(a, m, ir, k, pc, kc, z),
+                row_or(a, m, ir + 1, k, pc, kc, z),
+                row_or(a, m, ir + 2, k, pc, kc, z),
+                row_or(a, m, ir + 3, k, pc, kc, z),
             ];
-            // Columns needed by this micro-row: j ≤ gi + mr − 1. Interior
+            // Columns needed by this micro-row: j ≤ ir + mr − 1. Interior
             // micro-tiles write all 16 lanes; only diagonal-straddling tiles
             // mask to the lower triangle.
-            let jmax = (gi + mr).min(m);
+            let jmax = ir + mr;
             let mut jr = 0;
             while jr < jmax {
                 let nr = (jmax - jr).min(NR);
@@ -332,8 +258,8 @@ fn syrk_ln_seq(a: &[f64], m: usize, k: usize, c: &mut [f64], row0: usize, rows: 
                 ];
                 let acc = micro_4x4(ar, br, kc);
                 for (ii, accr) in acc.iter().enumerate().take(mr) {
-                    let i = gi + ii;
-                    let crow = &mut c[(ir + ii) * m..(ir + ii) * m + m];
+                    let i = ir + ii;
+                    let crow = &mut c[i * m..i * m + m];
                     for (jj, &s) in accr.iter().enumerate().take(nr) {
                         let j = jr + jj;
                         if j <= i {
@@ -347,30 +273,6 @@ fn syrk_ln_seq(a: &[f64], m: usize, k: usize, c: &mut [f64], row0: usize, rows: 
         }
         pc += KC;
     }
-}
-
-/// `C ← C − A Aᵀ` on the lower triangle of the `m × m` matrix `C`,
-/// with `A` an `m × k` panel. Blocked, with explicit parallelism control.
-pub fn syrk_ln_f64_p(a: &[f64], m: usize, k: usize, c: &mut [f64], parallel: bool) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(c.len(), m * m);
-    if m == 0 || k == 0 {
-        return;
-    }
-    if parallel && m >= PAR_THRESHOLD {
-        let nthr = rayon::current_num_threads().max(1);
-        let rows = m.div_ceil(nthr).max(MR);
-        c.par_chunks_mut(rows * m).enumerate().for_each(|(s, cs)| {
-            syrk_ln_seq(a, m, k, cs, s * rows, cs.len() / m);
-        });
-    } else {
-        syrk_ln_seq(a, m, k, c, 0, m);
-    }
-}
-
-/// `C ← C − A Aᵀ` (lower). Legacy auto-threshold entry point.
-pub fn syrk_ln_f64(a: &[f64], m: usize, k: usize, c: &mut [f64]) {
-    syrk_ln_f64_p(a, m, k, c, m >= PAR_THRESHOLD);
 }
 
 /// Naive row-dot SYRK oracle (sequential).
@@ -387,11 +289,10 @@ pub fn reference_syrk_ln_f64(a: &[f64], m: usize, k: usize, c: &mut [f64]) {
     }
 }
 
-/// Unblocked lower Cholesky in place on a row-major `n × n` buffer, with
-/// explicit parallelism control for the trailing row updates.
+/// Unblocked lower Cholesky in place on a row-major `n × n` buffer.
 /// On success the lower triangle holds `L`; the strict upper triangle is
 /// left untouched.
-pub fn potrf_f64_p(a: &mut [f64], n: usize, parallel: bool) -> Result<(), NotSpd> {
+pub fn potrf_f64(a: &mut [f64], n: usize) -> Result<(), NotSpd> {
     assert_eq!(a.len(), n * n);
     for j in 0..n {
         let mut d = a[j * n + j];
@@ -406,27 +307,12 @@ pub fn potrf_f64_p(a: &mut [f64], n: usize, parallel: bool) -> Result<(), NotSpd
         // Split so row j (read-only) and rows j+1.. (written) don't alias.
         let (head, tail) = a.split_at_mut((j + 1) * n);
         let row_j = &head[j * n..j * n + j];
-        let update = |chunk: &mut [f64]| {
+        for chunk in tail.chunks_mut(n) {
             let s: f64 = chunk[..j].iter().zip(row_j).map(|(x, y)| x * y).sum();
             chunk[j] = (chunk[j] - s) / l;
-        };
-        if parallel && n - j > PAR_THRESHOLD {
-            tail.par_chunks_mut(n).for_each(update);
-        } else {
-            tail.chunks_mut(n).for_each(update);
         }
     }
     Ok(())
-}
-
-/// Unblocked lower Cholesky. Legacy auto-threshold entry point.
-pub fn potrf_f64(a: &mut [f64], n: usize) -> Result<(), NotSpd> {
-    potrf_f64_p(a, n, true)
-}
-
-/// Sequential unblocked Cholesky oracle.
-pub fn reference_potrf_f64(a: &mut [f64], n: usize) -> Result<(), NotSpd> {
-    potrf_f64_p(a, n, false)
 }
 
 /// Lower Cholesky in f32 arithmetic (used by FP32-mode tiles).
@@ -455,12 +341,11 @@ pub fn potrf_f32(a: &mut [f32], n: usize) -> Result<(), NotSpd> {
 }
 
 /// Solve `X Lᵀ = B` in place on `B` (`m × n`), with `l` the lower-triangular
-/// `n × n` factor; explicit parallelism control. Each row of `B` is an
-/// independent forward substitution.
-pub fn trsm_rlt_f64_p(l: &[f64], n: usize, b: &mut [f64], m: usize, parallel: bool) {
+/// `n × n` factor. Each row of `B` is an independent forward substitution.
+pub fn trsm_rlt_f64(l: &[f64], n: usize, b: &mut [f64], m: usize) {
     assert_eq!(l.len(), n * n);
     assert_eq!(b.len(), m * n);
-    let row_solve = |row: &mut [f64]| {
+    for row in b.chunks_mut(n) {
         for j in 0..n {
             let s: f64 = l[j * n..j * n + j]
                 .iter()
@@ -469,24 +354,14 @@ pub fn trsm_rlt_f64_p(l: &[f64], n: usize, b: &mut [f64], m: usize, parallel: bo
                 .sum();
             row[j] = (row[j] - s) / l[j * n + j];
         }
-    };
-    if parallel && m >= PAR_THRESHOLD {
-        b.par_chunks_mut(n).for_each(row_solve);
-    } else {
-        b.chunks_mut(n).for_each(row_solve);
     }
 }
 
-/// Solve `X Lᵀ = B` in place on `B`. Legacy auto-threshold entry point.
-pub fn trsm_rlt_f64(l: &[f64], n: usize, b: &mut [f64], m: usize) {
-    trsm_rlt_f64_p(l, n, b, m, true)
-}
-
-/// f32 variant of [`trsm_rlt_f64_p`].
-pub fn trsm_rlt_f32_p(l: &[f32], n: usize, b: &mut [f32], m: usize, parallel: bool) {
+/// f32 variant of [`trsm_rlt_f64`].
+pub fn trsm_rlt_f32(l: &[f32], n: usize, b: &mut [f32], m: usize) {
     assert_eq!(l.len(), n * n);
     assert_eq!(b.len(), m * n);
-    let row_solve = |row: &mut [f32]| {
+    for row in b.chunks_mut(n) {
         for j in 0..n {
             let s: f32 = l[j * n..j * n + j]
                 .iter()
@@ -495,52 +370,11 @@ pub fn trsm_rlt_f32_p(l: &[f32], n: usize, b: &mut [f32], m: usize, parallel: bo
                 .sum();
             row[j] = (row[j] - s) / l[j * n + j];
         }
-    };
-    if parallel && m >= PAR_THRESHOLD {
-        b.par_chunks_mut(n).for_each(row_solve);
-    } else {
-        b.chunks_mut(n).for_each(row_solve);
     }
-}
-
-/// f32 variant of [`trsm_rlt_f64`].
-pub fn trsm_rlt_f32(l: &[f32], n: usize, b: &mut [f32], m: usize) {
-    trsm_rlt_f32_p(l, n, b, m, true)
 }
 
 /// General `C ← alpha · A Bᵀ + beta · C` in f64 (used by the standalone GEMM
-/// benchmark of paper §IV), with explicit parallelism control.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_full_f64_p(
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-    parallel: bool,
-) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), n * k);
-    assert_eq!(c.len(), m * n);
-    let body = |(i, crow): (usize, &mut [f64])| {
-        let ai = &a[i * k..(i + 1) * k];
-        for (j, cij) in crow.iter_mut().enumerate() {
-            let bj = &b[j * k..(j + 1) * k];
-            let s: f64 = ai.iter().zip(bj).map(|(x, y)| x * y).sum();
-            *cij = alpha * s + beta * *cij;
-        }
-    };
-    if parallel && m >= PAR_THRESHOLD {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
-}
-
-/// General `C ← alpha · A Bᵀ + beta · C`. Legacy auto-threshold entry point.
+/// benchmark of paper §IV).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_full_f64(
     alpha: f64,
@@ -552,7 +386,17 @@ pub fn gemm_full_f64(
     n: usize,
     k: usize,
 ) {
-    gemm_full_f64_p(alpha, a, b, beta, c, m, n, k, true)
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), n * k);
+    assert_eq!(c.len(), m * n);
+    for (i, crow) in c.chunks_mut(n).enumerate() {
+        let ai = &a[i * k..(i + 1) * k];
+        for (j, cij) in crow.iter_mut().enumerate() {
+            let bj = &b[j * k..(j + 1) * k];
+            let s: f64 = ai.iter().zip(bj).map(|(x, y)| x * y).sum();
+            *cij = alpha * s + beta * *cij;
+        }
+    }
 }
 
 /// Full lower Cholesky of a dense row-major `n × n` matrix in place
@@ -571,18 +415,17 @@ pub fn cholesky_in_place(a: &mut [f64], n: usize) -> Result<(), NotSpd> {
 /// the dense-level mirror of Algorithm 1 (POTRF/TRSM/SYRK/GEMM on
 /// `nb`-sized panels). Stages blocks through this thread's [`Workspace`].
 pub fn potrf_blocked_f64(a: &mut [f64], n: usize, nb: usize) -> Result<(), NotSpd> {
-    with_thread_workspace(|ws| potrf_blocked_f64_ws(a, n, nb, ws, true))
+    with_thread_workspace(|ws| potrf_blocked_f64_ws(a, n, nb, ws))
 }
 
-/// [`potrf_blocked_f64`] on a caller-owned workspace with explicit
-/// parallelism control. After the first factorization of a given shape the
-/// workspace is warm and the whole routine performs zero heap allocations.
+/// [`potrf_blocked_f64`] on a caller-owned workspace. After the first
+/// factorization of a given shape the workspace is warm and the whole
+/// routine performs zero heap allocations.
 pub fn potrf_blocked_f64_ws(
     a: &mut [f64],
     n: usize,
     nb: usize,
     ws: &mut Workspace,
-    parallel: bool,
 ) -> Result<(), NotSpd> {
     assert_eq!(a.len(), n * n);
     assert!(nb > 0);
@@ -602,7 +445,7 @@ pub fn potrf_blocked_f64_ws(
     for k in 0..nt {
         let dk = dim(k);
         let lkk = ws.p64.load(|v| read_block(v, a, n, k * nb, k * nb, dk, dk));
-        potrf_f64_p(lkk, dk, parallel).map_err(|e| NotSpd {
+        potrf_f64(lkk, dk).map_err(|e| NotSpd {
             column: k * nb + e.column,
         })?;
         // zero the strict upper of the diagonal block
@@ -615,20 +458,20 @@ pub fn potrf_blocked_f64_ws(
         for m in (k + 1)..nt {
             let dm = dim(m);
             let bmk = ws.c64.load(|v| read_block(v, a, n, m * nb, k * nb, dm, dk));
-            trsm_rlt_f64_p(lkk, dk, bmk, dm, parallel);
+            trsm_rlt_f64(lkk, dk, bmk, dm);
             write_block(a, bmk, n, m * nb, k * nb, dm, dk);
         }
         for m in (k + 1)..nt {
             let dm = dim(m);
             let amk = ws.a64.load(|v| read_block(v, a, n, m * nb, k * nb, dm, dk));
             let cmm = ws.c64.load(|v| read_block(v, a, n, m * nb, m * nb, dm, dm));
-            syrk_ln_f64_p(amk, dm, dk, cmm, parallel);
+            syrk_ln_f64(amk, dm, dk, cmm);
             write_block(a, cmm, n, m * nb, m * nb, dm, dm);
             for t in (k + 1)..m {
                 let dt = dim(t);
                 let atk = ws.b64.load(|v| read_block(v, a, n, t * nb, k * nb, dt, dk));
                 let cmt = ws.c64.load(|v| read_block(v, a, n, m * nb, t * nb, dm, dt));
-                gemm_nt_f64_p(amk, atk, cmt, dm, dt, dk, parallel);
+                gemm_nt_f64(amk, atk, cmt, dm, dt, dk);
                 write_block(a, cmt, n, m * nb, t * nb, dm, dt);
             }
         }
@@ -864,19 +707,19 @@ mod tests {
         let a0 = spd(n);
         let mut ws = Workspace::new();
         let mut a = a0.clone();
-        potrf_blocked_f64_ws(&mut a, n, 24, &mut ws, false).unwrap();
+        potrf_blocked_f64_ws(&mut a, n, 24, &mut ws).unwrap();
         let warm = ws.grow_events();
         assert!(warm > 0, "first run must populate the workspace");
         for _ in 0..3 {
             let mut a = a0.clone();
-            potrf_blocked_f64_ws(&mut a, n, 24, &mut ws, false).unwrap();
+            potrf_blocked_f64_ws(&mut a, n, 24, &mut ws).unwrap();
         }
         assert_eq!(ws.grow_events(), warm, "warm workspace reallocated");
     }
 
     #[test]
     fn parallel_threshold_paths_agree() {
-        // exercise the rayon path (m >= 64) against the serial one
+        // m spans more than one MC row block
         let (m, n, k) = (80, 16, 24);
         let a: Vec<f64> = (0..m * k).map(|t| ((t * 29 % 17) as f64) * 0.1).collect();
         let b: Vec<f64> = (0..n * k).map(|t| ((t * 31 % 13) as f64) * 0.2).collect();
@@ -919,7 +762,7 @@ mod tests {
             let b = pseudo(n * k, 31, 13, 0.2);
             let c0 = pseudo(m * n, 7, 11, 0.3);
             let mut c_blk = c0.clone();
-            gemm_nt_f64_p(&a, &b, &mut c_blk, m, n, k, false);
+            gemm_nt_f64(&a, &b, &mut c_blk, m, n, k);
             let mut c_ref = c0.clone();
             reference_gemm_nt_f64(&a, &b, &mut c_ref, m, n, k);
             assert_eq!(c_blk, c_ref, "shape ({m},{n},{k})");
@@ -937,7 +780,7 @@ mod tests {
             .collect();
         let c0: Vec<f32> = (0..m * n).map(|t| ((t * 7 % 11) as f32) * 0.3).collect();
         let mut c_blk = c0.clone();
-        gemm_nt_f32_p(&a, &b, &mut c_blk, m, n, k, false);
+        gemm_nt_f32(&a, &b, &mut c_blk, m, n, k);
         let mut c_ref = c0;
         reference_gemm_nt_f32(&a, &b, &mut c_ref, m, n, k);
         assert_eq!(c_blk, c_ref);
@@ -952,7 +795,7 @@ mod tests {
         let b = pseudo(n * k, 31, 89, 0.02);
         let c0 = pseudo(m * n, 7, 11, 0.3);
         let mut c_blk = c0.clone();
-        gemm_nt_f64_p(&a, &b, &mut c_blk, m, n, k, false);
+        gemm_nt_f64(&a, &b, &mut c_blk, m, n, k);
         let mut c_ref = c0;
         reference_gemm_nt_f64(&a, &b, &mut c_ref, m, n, k);
         for (x, y) in c_blk.iter().zip(&c_ref) {
@@ -974,7 +817,7 @@ mod tests {
             let a = pseudo(m * k, 29, 17, 0.1);
             let c0 = pseudo(m * m, 7, 11, 0.3);
             let mut c_blk = c0.clone();
-            syrk_ln_f64_p(&a, m, k, &mut c_blk, false);
+            syrk_ln_f64(&a, m, k, &mut c_blk);
             let mut c_ref = c0.clone();
             reference_syrk_ln_f64(&a, m, k, &mut c_ref);
             assert_eq!(c_blk, c_ref, "shape ({m},{k})");
@@ -988,30 +831,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_flag_paths_are_bit_identical() {
-        let (m, n, k) = (130, 70, 48);
-        let a = pseudo(m * k, 29, 17, 0.1);
-        let b = pseudo(n * k, 31, 13, 0.2);
-        let mut c_par = vec![1.0; m * n];
-        gemm_nt_f64_p(&a, &b, &mut c_par, m, n, k, true);
-        let mut c_seq = vec![1.0; m * n];
-        gemm_nt_f64_p(&a, &b, &mut c_seq, m, n, k, false);
-        assert_eq!(c_par, c_seq);
-
-        let mut s_par = vec![0.5; m * m];
-        syrk_ln_f64_p(&a, m, k, &mut s_par, true);
-        let mut s_seq = vec![0.5; m * m];
-        syrk_ln_f64_p(&a, m, k, &mut s_seq, false);
-        assert_eq!(s_par, s_seq);
-
-        let a0 = spd(m);
-        let mut p_par = a0.clone();
-        potrf_f64_p(&mut p_par, m, true).unwrap();
-        let mut p_seq = a0;
-        potrf_f64_p(&mut p_seq, m, false).unwrap();
-        assert_eq!(p_par, p_seq);
     }
 }

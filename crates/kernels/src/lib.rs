@@ -20,10 +20,9 @@ pub mod workspace;
 
 pub use blas::{
     backward_solve_trans_in_place, cholesky_in_place, forward_solve_in_place, gemm_full_f64,
-    gemm_full_f64_p, gemm_nt_f32, gemm_nt_f32_p, gemm_nt_f64, gemm_nt_f64_p, potrf_blocked_f64,
-    potrf_blocked_f64_ws, potrf_f32, potrf_f64, potrf_f64_p, reference_gemm_nt_f32,
-    reference_gemm_nt_f64, reference_potrf_f64, reference_syrk_ln_f64, syrk_ln_f64, syrk_ln_f64_p,
-    trsm_rlt_f32, trsm_rlt_f32_p, trsm_rlt_f64, trsm_rlt_f64_p, NotSpd,
+    gemm_nt_f32, gemm_nt_f64, potrf_blocked_f64, potrf_blocked_f64_ws, potrf_f32, potrf_f64,
+    reference_gemm_nt_f32, reference_gemm_nt_f64, reference_syrk_ln_f64, syrk_ln_f64, trsm_rlt_f32,
+    trsm_rlt_f64, NotSpd,
 };
 pub use mp::{
     compute_format_index, gemm_tile_ws, gemm_tile_ws_cached, kernel_flops, make_compute_buf,

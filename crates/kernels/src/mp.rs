@@ -18,10 +18,11 @@
 //! # Data path
 //!
 //! Every kernel is a `*_tile_ws` function taking a caller-owned [`Workspace`]
-//! and an explicit `parallel` flag: operand staging reuses the workspace's
-//! buffers (zero steady-state heap allocations), F64-stored tiles are
-//! updated in place with no staging copy at all, and reduced-precision
-//! paths read/write `f32` directly instead of round-tripping through `f64`.
+//! and running sequentially on the calling thread: operand staging reuses
+//! the workspace's buffers (zero steady-state heap allocations), F64-stored
+//! tiles are updated in place with no staging copy at all, and
+//! reduced-precision paths read/write `f32` directly instead of
+//! round-tripping through `f64`.
 //!
 //! GEMM additionally accepts pre-quantized operand images ([`ComputeBuf`])
 //! so a producer can convert a tile to its compute format **once** and share
@@ -35,7 +36,6 @@ use half::f16;
 use mixedp_fp::{round_bf16, round_f16, round_f16_f32, round_tf32_f32, Precision};
 use mixedp_obs as obs;
 use mixedp_tile::{Tile, TileBuf};
-use rayon::prelude::*;
 
 /// The precision a TRSM actually executes in when the tile's kernel
 /// precision is `p` — FP16-class tiles fall back to FP32 (paper §V).
@@ -165,9 +165,9 @@ pub fn make_compute_buf(p: Precision, t: &Tile) -> ComputeBuf {
 /// F64-stored tiles are factored fully in place (no staging copy); note
 /// that on a `NotSpd` failure such a tile holds the partial factorization,
 /// as with any in-place LAPACK-style POTRF.
-pub fn potrf_tile_ws(c: &mut Tile, ws: &mut Workspace, parallel: bool) -> Result<(), blas::NotSpd> {
+pub fn potrf_tile_ws(c: &mut Tile, ws: &mut Workspace) -> Result<(), blas::NotSpd> {
     let sp = obs::span_start();
-    let r = potrf_tile_ws_inner(c, ws, parallel);
+    let r = potrf_tile_ws_inner(c, ws);
     obs::span_end(
         sp,
         obs::EventKind::KernelPotrf,
@@ -176,15 +176,11 @@ pub fn potrf_tile_ws(c: &mut Tile, ws: &mut Workspace, parallel: bool) -> Result
     r
 }
 
-fn potrf_tile_ws_inner(
-    c: &mut Tile,
-    ws: &mut Workspace,
-    parallel: bool,
-) -> Result<(), blas::NotSpd> {
+fn potrf_tile_ws_inner(c: &mut Tile, ws: &mut Workspace) -> Result<(), blas::NotSpd> {
     let n = c.rows();
     assert_eq!(n, c.cols(), "POTRF needs a square tile");
     if let Some(a) = c.as_mut_f64_slice() {
-        blas::potrf_f64_p(a, n, parallel)?;
+        blas::potrf_f64(a, n)?;
         for i in 0..n {
             for j in (i + 1)..n {
                 a[i * n + j] = 0.0;
@@ -193,7 +189,7 @@ fn potrf_tile_ws_inner(
         return Ok(());
     }
     let a = ws.c64.load(|v| c.read_f64_into(v));
-    blas::potrf_f64_p(a, n, parallel)?;
+    blas::potrf_f64(a, n)?;
     // Zero the strict upper triangle so the tile holds exactly L.
     for i in 0..n {
         for j in (i + 1)..n {
@@ -210,9 +206,9 @@ fn potrf_tile_ws_inner(
 /// which halves its staging traffic; the values are bit-identical to the
 /// widen-then-narrow route because every step of that route rounded at
 /// most once.
-pub fn trsm_tile_ws(p: Precision, l: &Tile, b: &mut Tile, ws: &mut Workspace, parallel: bool) {
+pub fn trsm_tile_ws(p: Precision, l: &Tile, b: &mut Tile, ws: &mut Workspace) {
     let sp = obs::span_start();
-    trsm_tile_ws_inner(p, l, b, ws, parallel);
+    trsm_tile_ws_inner(p, l, b, ws);
     obs::span_end(
         sp,
         obs::EventKind::KernelTrsm,
@@ -220,7 +216,7 @@ pub fn trsm_tile_ws(p: Precision, l: &Tile, b: &mut Tile, ws: &mut Workspace, pa
     );
 }
 
-fn trsm_tile_ws_inner(p: Precision, l: &Tile, b: &mut Tile, ws: &mut Workspace, parallel: bool) {
+fn trsm_tile_ws_inner(p: Precision, l: &Tile, b: &mut Tile, ws: &mut Workspace) {
     let n = l.rows();
     assert_eq!(n, l.cols());
     assert_eq!(b.cols(), n);
@@ -229,17 +225,17 @@ fn trsm_tile_ws_inner(p: Precision, l: &Tile, b: &mut Tile, ws: &mut Workspace, 
         Precision::Fp64 => {
             let lf = ws.a64.load(|v| l.read_f64_into(v));
             if let Some(bf) = b.as_mut_f64_slice() {
-                blas::trsm_rlt_f64_p(lf, n, bf, m, parallel);
+                blas::trsm_rlt_f64(lf, n, bf, m);
             } else {
                 let bf = ws.c64.load(|v| b.read_f64_into(v));
-                blas::trsm_rlt_f64_p(lf, n, bf, m, parallel);
+                blas::trsm_rlt_f64(lf, n, bf, m);
                 b.store_f64(bf);
             }
         }
         _ => {
             let lf = ws.a32.load(|v| l.read_f32_into(v));
             let bf = ws.c32.load(|v| b.read_f32_into(v));
-            blas::trsm_rlt_f32_p(lf, n, bf, m, parallel);
+            blas::trsm_rlt_f32(lf, n, bf, m);
             b.write_f32(bf);
         }
     }
@@ -250,9 +246,9 @@ fn trsm_tile_ws_inner(p: Precision, l: &Tile, b: &mut Tile, ws: &mut Workspace, 
 /// widening it is lossless; the precision loss already happened when the
 /// panel was stored, which is exactly the paper's error model. F64-stored
 /// `C` updates in place, and F64-stored panels are read with zero copies.
-pub fn syrk_tile_ws(a: &Tile, c: &mut Tile, ws: &mut Workspace, parallel: bool) {
+pub fn syrk_tile_ws(a: &Tile, c: &mut Tile, ws: &mut Workspace) {
     let sp = obs::span_start();
-    syrk_tile_ws_inner(a, c, ws, parallel);
+    syrk_tile_ws_inner(a, c, ws);
     obs::span_end(
         sp,
         obs::EventKind::KernelSyrk,
@@ -260,7 +256,7 @@ pub fn syrk_tile_ws(a: &Tile, c: &mut Tile, ws: &mut Workspace, parallel: bool) 
     );
 }
 
-fn syrk_tile_ws_inner(a: &Tile, c: &mut Tile, ws: &mut Workspace, parallel: bool) {
+fn syrk_tile_ws_inner(a: &Tile, c: &mut Tile, ws: &mut Workspace) {
     let m = c.rows();
     assert_eq!(m, c.cols());
     assert_eq!(a.rows(), m);
@@ -270,24 +266,28 @@ fn syrk_tile_ws_inner(a: &Tile, c: &mut Tile, ws: &mut Workspace, parallel: bool
         None => ws.a64.load(|v| a.read_f64_into(v)),
     };
     if let Some(cf) = c.as_mut_f64_slice() {
-        blas::syrk_ln_f64_p(af, m, k, cf, parallel);
+        blas::syrk_ln_f64(af, m, k, cf);
     } else {
         let cf = ws.c64.load(|v| c.read_f64_into(v));
-        blas::syrk_ln_f64_p(af, m, k, cf, parallel);
+        blas::syrk_ln_f64(af, m, k, cf);
         c.store_f64(cf);
     }
 }
 
 /// GEMM: `C_mn ← C_mn − C_mk C_nkᵀ` at kernel precision `p`.
+///
+/// `_parallel` is ignored (every kernel runs sequentially); it stays only
+/// because the likelihood benchmark calls this six-argument form, and the
+/// next change to the benchmark drops it.
 pub fn gemm_tile_ws(
     p: Precision,
     a: &Tile,
     b: &Tile,
     c: &mut Tile,
     ws: &mut Workspace,
-    parallel: bool,
+    _parallel: bool,
 ) {
-    gemm_tile_ws_cached(p, a, None, b, None, c, ws, parallel);
+    gemm_tile_ws_cached(p, a, None, b, None, c, ws);
 }
 
 /// GEMM with optional producer-converted operand images (STC).
@@ -297,7 +297,6 @@ pub fn gemm_tile_ws(
 /// locally into the workspace. Returns the number of operand conversions
 /// performed *here* (0–2 for reduced-precision `p`, always 0 for FP64), so
 /// the caller can account conversions avoided vs. performed.
-#[allow(clippy::too_many_arguments)]
 pub fn gemm_tile_ws_cached(
     p: Precision,
     a: &Tile,
@@ -306,15 +305,13 @@ pub fn gemm_tile_ws_cached(
     b_buf: Option<&ComputeBuf>,
     c: &mut Tile,
     ws: &mut Workspace,
-    parallel: bool,
 ) -> usize {
     let sp = obs::span_start();
-    let converted = gemm_tile_ws_cached_inner(p, a, a_buf, b, b_buf, c, ws, parallel);
+    let converted = gemm_tile_ws_cached_inner(p, a, a_buf, b, b_buf, c, ws);
     obs::span_end(sp, obs::EventKind::KernelGemm, obs::kernel_arg(p, c.rows()));
     converted
 }
 
-#[allow(clippy::too_many_arguments)]
 fn gemm_tile_ws_cached_inner(
     p: Precision,
     a: &Tile,
@@ -323,7 +320,6 @@ fn gemm_tile_ws_cached_inner(
     b_buf: Option<&ComputeBuf>,
     c: &mut Tile,
     ws: &mut Workspace,
-    parallel: bool,
 ) -> usize {
     let m = c.rows();
     let n = c.cols();
@@ -343,10 +339,10 @@ fn gemm_tile_ws_cached_inner(
                 None => ws.b64.load(|v| b.read_f64_into(v)),
             };
             if let Some(cf) = c.as_mut_f64_slice() {
-                blas::gemm_nt_f64_p(af, bf, cf, m, n, k, parallel);
+                blas::gemm_nt_f64(af, bf, cf, m, n, k);
             } else {
                 let cf = ws.c64.load(|v| c.read_f64_into(v));
-                blas::gemm_nt_f64_p(af, bf, cf, m, n, k, parallel);
+                blas::gemm_nt_f64(af, bf, cf, m, n, k);
                 c.store_f64(cf);
             }
         }
@@ -373,7 +369,7 @@ fn gemm_tile_ws_cached_inner(
             };
             let bt = ws.b32.load(|o| transpose_into(b_rows, n, k, o));
             let cf = ws.c32.load(|o| quantize_into(p, c, o));
-            gemm_f16_f32(af, bt, cf, m, n, k, parallel);
+            gemm_f16_f32(af, bt, cf, m, n, k);
             c.write_f32(cf);
         }
         _ => {
@@ -394,10 +390,10 @@ fn gemm_tile_ws_cached_inner(
                 }
             };
             if let Some(cf) = c.as_mut_f32_slice() {
-                blas::gemm_nt_f32_p(af, bf, cf, m, n, k, parallel);
+                blas::gemm_nt_f32(af, bf, cf, m, n, k);
             } else {
                 let cf = ws.c32.load(|v| c.read_f32_into(v));
-                blas::gemm_nt_f32_p(af, bf, cf, m, n, k, parallel);
+                blas::gemm_nt_f32(af, bf, cf, m, n, k);
                 c.write_f32(cf);
             }
         }
@@ -414,16 +410,9 @@ const F16_NR: usize = 16;
 /// r16(a·b))`, with k walked in order — the per-op sequence of a binary16
 /// multiply-then-subtract loop, so results are bit-identical to `half::f16`
 /// arithmetic (see `crates/fp/tests/f16_exhaustive.rs`).
-fn gemm_f16_f32(
-    af: &[f32],
-    bt: &[f32],
-    cf: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    parallel: bool,
-) {
-    let body = |(i, crow): (usize, &mut [f32])| {
+fn gemm_f16_f32(af: &[f32], bt: &[f32], cf: &mut [f32], m: usize, n: usize, k: usize) {
+    debug_assert_eq!(cf.len(), m * n);
+    for (i, crow) in cf.chunks_mut(n).enumerate() {
         let ai = &af[i * k..(i + 1) * k];
         let mut blocks = crow.chunks_exact_mut(F16_NR);
         for (jb, cblk) in blocks.by_ref().enumerate() {
@@ -437,11 +426,6 @@ fn gemm_f16_f32(
             }
             *cij = acc;
         }
-    };
-    if parallel && m >= 64 {
-        cf.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        cf.chunks_mut(n).enumerate().for_each(body);
     }
 }
 
@@ -479,7 +463,7 @@ pub fn gemm_tile_fp8(a: &Tile, b: &Tile, c: &mut Tile) {
             v.extend(b.to_f64().iter().map(|&x| mixedp_fp::round_e4m3(x) as f32));
         });
         let cf = ws.c32.load(|v| c.read_f32_into(v));
-        blas::gemm_nt_f32_p(af, bf, cf, m, n, k, true);
+        blas::gemm_nt_f32(af, bf, cf, m, n, k);
         c.write_f32(cf);
     });
 }
@@ -525,16 +509,8 @@ mod tests {
     /// The original pure-FP16 GEMM core: binary16 inputs, binary16 multiply
     /// results, binary16 running accumulation — per-operation rounding via
     /// `half::f16`. Oracle of the f32-emulated core.
-    fn gemm_f16_core(
-        af: &[f16],
-        bf: &[f16],
-        cf: &mut [f16],
-        m: usize,
-        n: usize,
-        k: usize,
-        parallel: bool,
-    ) {
-        let body = |(i, crow): (usize, &mut [f16])| {
+    fn gemm_f16_core(af: &[f16], bf: &[f16], cf: &mut [f16], n: usize, k: usize) {
+        for (i, crow) in cf.chunks_mut(n).enumerate() {
             let ai = &af[i * k..(i + 1) * k];
             for (j, cij) in crow.iter_mut().enumerate() {
                 let bj = &bf[j * k..(j + 1) * k];
@@ -545,11 +521,6 @@ mod tests {
                 }
                 *cij = acc;
             }
-        };
-        if parallel && m >= 64 {
-            cf.par_chunks_mut(n).enumerate().for_each(body);
-        } else {
-            cf.chunks_mut(n).enumerate().for_each(body);
         }
     }
 
@@ -581,7 +552,7 @@ mod tests {
     #[test]
     fn potrf_tile_zeros_upper() {
         let mut t = spd_tile(8);
-        potrf_tile_ws(&mut t, &mut Workspace::new(), true).unwrap();
+        potrf_tile_ws(&mut t, &mut Workspace::new()).unwrap();
         for i in 0..8 {
             for j in (i + 1)..8 {
                 assert_eq!(t.get(i, j), 0.0);
@@ -595,8 +566,8 @@ mod tests {
         // staging path (non-F64 storage) must behave like the in-place one
         let mut t64 = spd_tile(8);
         let mut t32 = t64.converted_to(SP::F32);
-        potrf_tile_ws(&mut t64, &mut Workspace::new(), true).unwrap();
-        potrf_tile_ws(&mut t32, &mut Workspace::new(), true).unwrap();
+        potrf_tile_ws(&mut t64, &mut Workspace::new()).unwrap();
+        potrf_tile_ws(&mut t32, &mut Workspace::new()).unwrap();
         for i in 0..8 {
             for j in 0..8 {
                 assert!((t64.get(i, j) - t32.get(i, j)).abs() < 1e-3);
@@ -681,20 +652,11 @@ mod tests {
             let mut ws = Workspace::new();
 
             let mut c_cached = c0.clone();
-            let conv = gemm_tile_ws_cached(
-                p,
-                &a,
-                Some(&ab),
-                &b,
-                Some(&bb),
-                &mut c_cached,
-                &mut ws,
-                false,
-            );
+            let conv = gemm_tile_ws_cached(p, &a, Some(&ab), &b, Some(&bb), &mut c_cached, &mut ws);
             assert_eq!(conv, 0, "{p:?}: cached operands must not reconvert");
 
             let mut c_local = c0.clone();
-            let conv = gemm_tile_ws_cached(p, &a, None, &b, None, &mut c_local, &mut ws, false);
+            let conv = gemm_tile_ws_cached(p, &a, None, &b, None, &mut c_local, &mut ws);
             assert_eq!(conv, 2, "{p:?}: uncached operands convert twice");
 
             assert_eq!(c_cached, c_local, "{p:?}: STC changed the result");
@@ -733,7 +695,7 @@ mod tests {
 
     /// The original FP16 GEMM data path: stage every operand as `f16`, run
     /// [`gemm_f16_core`], store the widened result.
-    fn gemm_f16_oracle(a: &Tile, b: &Tile, c: &mut Tile, parallel: bool) {
+    fn gemm_f16_oracle(a: &Tile, b: &Tile, c: &mut Tile) {
         let to_f16 = |t: &Tile| -> Vec<f16> {
             match t.buf() {
                 TileBuf::F64(v) => v.iter().map(|&x| f16::from_f64(x)).collect(),
@@ -742,7 +704,7 @@ mod tests {
             }
         };
         let (af, bf, mut cf) = (to_f16(a), to_f16(b), to_f16(c));
-        gemm_f16_core(&af, &bf, &mut cf, c.rows(), c.cols(), a.cols(), parallel);
+        gemm_f16_core(&af, &bf, &mut cf, c.cols(), a.cols());
         let wide: Vec<f64> = cf.iter().map(|x| x.to_f64()).collect();
         c.store_f64(&wide);
     }
@@ -764,7 +726,6 @@ mod tests {
             cached in 0u32..4,
             scale in 0usize..5,
             seed in 0u64..1 << 32,
-            parallel in 0u32..2,
         ) {
             const SP_ALL: [SP; 3] = [SP::F64, SP::F32, SP::F16];
             // ~1: ordinary; 300: products and sums past 65504; 7e4:
@@ -784,12 +745,10 @@ mod tests {
             let b_buf = (cached & 2 == 2).then_some(&bb);
 
             let mut want = c0.clone();
-            gemm_f16_oracle(&a, &b, &mut want, parallel == 1);
+            gemm_f16_oracle(&a, &b, &mut want);
             let mut got = c0.clone();
             let mut ws = Workspace::new();
-            gemm_tile_ws_cached(
-                Precision::Fp16, &a, a_buf, &b, b_buf, &mut got, &mut ws, parallel == 1,
-            );
+            gemm_tile_ws_cached(Precision::Fp16, &a, a_buf, &b, b_buf, &mut got, &mut ws);
             prop_assert_eq!(raw_bits(&got), raw_bits(&want), "{}x{}x{} scale {}", m, n, k, scale);
         }
     }
@@ -809,7 +768,7 @@ mod tests {
             quantize_into(p, &a, &mut af);
             quantize_into(p, &b, &mut bf);
             c0.read_f32_into(&mut cf);
-            blas::gemm_nt_f32_p(&af, &bf, &mut cf, m, n, k, false);
+            blas::gemm_nt_f32(&af, &bf, &mut cf, m, n, k);
             let mut want = c0.clone();
             want.write_f32(&cf);
             assert_eq!(raw_bits(&got), raw_bits(&want), "{p:?}");
@@ -857,12 +816,12 @@ mod tests {
         assert_eq!(trsm_effective_precision(Precision::Fp64), Precision::Fp64);
 
         let mut l = spd_tile(6);
-        potrf_tile_ws(&mut l, &mut Workspace::new(), true).unwrap();
+        potrf_tile_ws(&mut l, &mut Workspace::new()).unwrap();
         let b0 = rand_tile(4, 6, 9, SP::F64);
         let mut b16 = b0.clone();
-        trsm_tile_ws(Precision::Fp16, &l, &mut b16, &mut Workspace::new(), true);
+        trsm_tile_ws(Precision::Fp16, &l, &mut b16, &mut Workspace::new());
         let mut b32 = b0.clone();
-        trsm_tile_ws(Precision::Fp32, &l, &mut b32, &mut Workspace::new(), true);
+        trsm_tile_ws(Precision::Fp32, &l, &mut b32, &mut Workspace::new());
         // identical: FP16 TRSM *is* FP32 TRSM
         assert_eq!(b16.to_f64(), b32.to_f64());
     }
@@ -871,7 +830,7 @@ mod tests {
     fn trsm_tile_solves() {
         let n = 8;
         let mut l = spd_tile(n);
-        potrf_tile_ws(&mut l, &mut Workspace::new(), true).unwrap();
+        potrf_tile_ws(&mut l, &mut Workspace::new()).unwrap();
         let x0 = rand_tile(3, n, 7, SP::F64);
         // b = x0 * L^T
         let mut b = Tile::zeros(3, n, SP::F64);
@@ -884,7 +843,7 @@ mod tests {
                 b.set(i, j, s);
             }
         }
-        trsm_tile_ws(Precision::Fp64, &l, &mut b, &mut Workspace::new(), true);
+        trsm_tile_ws(Precision::Fp64, &l, &mut b, &mut Workspace::new());
         for i in 0..3 {
             for j in 0..n {
                 assert!((b.get(i, j) - x0.get(i, j)).abs() < 1e-10);
@@ -899,7 +858,7 @@ mod tests {
         let a = rand_tile(m, k, 11, SP::F64);
         let mut c = spd_tile(m);
         let c0 = c.clone();
-        syrk_tile_ws(&a, &mut c, &mut Workspace::new(), true);
+        syrk_tile_ws(&a, &mut c, &mut Workspace::new());
         for i in 0..m {
             for j in 0..=i {
                 let mut s = 0.0;

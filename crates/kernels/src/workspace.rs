@@ -120,9 +120,10 @@ thread_local! {
     static THREAD_WS: RefCell<Workspace> = const { RefCell::new(Workspace::new()) };
 }
 
-/// Run `f` with this thread's workspace. Fallback for call sites that are not
-/// scheduler workers (tests, serial helpers, `cholesky_in_place`); scheduler
-/// workers own a `Workspace` directly via the per-worker context API instead.
+/// Run `f` with this thread's workspace: the scratch of kernels called
+/// outside the task runtime (`cholesky_in_place`, the fp8 GEMM, tests).
+/// Scheduler workers own a `Workspace` directly via the per-worker context
+/// API instead.
 pub fn with_thread_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
     THREAD_WS.with(|ws| f(&mut ws.borrow_mut()))
 }

@@ -98,7 +98,7 @@ proptest! {
             d[i * n + i] += n as f64;
         }
         let mut l = tile_from(&d, n, n);
-        potrf_tile_ws(&mut l, &mut Workspace::new(), true).unwrap();
+        potrf_tile_ws(&mut l, &mut Workspace::new()).unwrap();
         let x0v: Vec<f64> = (0..m * n).map(|_| rnd() * 2.0).collect();
         // b = x0 L^T
         let mut bv = vec![0.0; m * n];
@@ -110,7 +110,7 @@ proptest! {
             }
         }
         let mut b = tile_from(&bv, m, n);
-        trsm_tile_ws(Precision::Fp64, &l, &mut b, &mut Workspace::new(), true);
+        trsm_tile_ws(Precision::Fp64, &l, &mut b, &mut Workspace::new());
         for i in 0..m {
             for j in 0..n {
                 prop_assert!((b.get(i, j) - x0v[i * n + j]).abs() < 1e-8);
@@ -120,11 +120,11 @@ proptest! {
 
     /// The cache-blocked GEMM is bit-identical to the naive reference at
     /// arbitrary shapes — including non-multiples of the MR/NR register
-    /// blocks — on both the serial and the row-striped parallel path.
+    /// blocks.
     #[test]
     fn blocked_gemm_bit_matches_reference(
         m in 1usize..80, n in 1usize..40, k in 1usize..40,
-        seed in 0u64..500, par in 0usize..2,
+        seed in 0u64..500,
     ) {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
         let mut rnd = move || {
@@ -135,7 +135,7 @@ proptest! {
         let b: Vec<f64> = (0..n * k).map(|_| rnd()).collect();
         let c0: Vec<f64> = (0..m * n).map(|_| rnd()).collect();
         let mut c_blk = c0.clone();
-        blas::gemm_nt_f64_p(&a, &b, &mut c_blk, m, n, k, par == 1);
+        blas::gemm_nt_f64(&a, &b, &mut c_blk, m, n, k);
         let mut c_ref = c0;
         blas::reference_gemm_nt_f64(&a, &b, &mut c_ref, m, n, k);
         prop_assert_eq!(c_blk, c_ref);
@@ -145,7 +145,7 @@ proptest! {
     /// triangle and never touches the strict upper triangle.
     #[test]
     fn blocked_syrk_bit_matches_reference(
-        m in 1usize..48, k in 1usize..32, seed in 0u64..500, par in 0usize..2,
+        m in 1usize..48, k in 1usize..32, seed in 0u64..500,
     ) {
         let mut s = seed.wrapping_mul(0x2545F4914F6CDD1D) | 1;
         let mut rnd = move || {
@@ -155,7 +155,7 @@ proptest! {
         let a: Vec<f64> = (0..m * k).map(|_| rnd()).collect();
         let c0: Vec<f64> = (0..m * m).map(|_| rnd()).collect();
         let mut c_blk = c0.clone();
-        blas::syrk_ln_f64_p(&a, m, k, &mut c_blk, par == 1);
+        blas::syrk_ln_f64(&a, m, k, &mut c_blk);
         let mut c_ref = c0.clone();
         blas::reference_syrk_ln_f64(&a, m, k, &mut c_ref);
         prop_assert_eq!(&c_blk, &c_ref);

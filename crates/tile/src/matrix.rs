@@ -3,7 +3,6 @@
 use crate::dense::DenseMatrix;
 use crate::tile::Tile;
 use mixedp_fp::StoragePrecision;
-use rayon::prelude::*;
 
 /// The lower triangle of an `n × n` symmetric matrix, partitioned into
 /// `NT × NT` tiles of nominal size `nb` (the trailing tile may be ragged).
@@ -52,19 +51,17 @@ impl SymmTileMatrix {
 
     /// Build from an element function `f(row, col)` of the global matrix
     /// (only the lower triangle is evaluated), with a per-tile storage
-    /// precision chosen by `storage_of(i, j)`. Tiles fill in parallel.
+    /// precision chosen by `storage_of(i, j)`.
     pub fn from_fn<F, S>(n: usize, nb: usize, f: F, storage_of: S) -> Self
     where
-        F: Fn(usize, usize) -> f64 + Sync,
-        S: Fn(usize, usize) -> StoragePrecision + Sync,
+        F: Fn(usize, usize) -> f64,
+        S: Fn(usize, usize) -> StoragePrecision,
     {
         assert!(n > 0 && nb > 0);
         let nt = n.div_ceil(nb);
-        let coords: Vec<(usize, usize)> =
-            (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
-        let tiles: Vec<Tile> = coords
-            .par_iter()
-            .map(|&(i, j)| {
+        let tiles: Vec<Tile> = (0..nt)
+            .flat_map(|i| (0..=i).map(move |j| (i, j)))
+            .map(|(i, j)| {
                 let r = (n - i * nb).min(nb);
                 let c = (n - j * nb).min(nb);
                 let mut data = Vec::with_capacity(r * c);

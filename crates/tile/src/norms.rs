@@ -2,7 +2,6 @@
 //! precision-selection rule `‖A_ij‖ · NT / ‖A‖ ≤ u_req / u_low` (paper §V).
 
 use crate::matrix::SymmTileMatrix;
-use rayon::prelude::*;
 
 /// Frobenius norms of every lower-triangle tile plus the global norm.
 #[derive(Debug, Clone)]
@@ -30,12 +29,12 @@ impl NormMap {
     }
 }
 
-/// Compute all tile norms and the global norm in parallel.
+/// Compute all tile norms and the global norm.
 pub fn tile_fro_norms(a: &SymmTileMatrix) -> NormMap {
     let nt = a.nt();
     let coords: Vec<(usize, usize)> = (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
     let sq: Vec<f64> = coords
-        .par_iter()
+        .iter()
         .map(|&(i, j)| a.tile(i, j).fro_norm_sq())
         .collect();
     let global = coords
