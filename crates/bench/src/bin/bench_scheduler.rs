@@ -9,10 +9,11 @@
 //!     synthetic task durations proportional to the kernel cost weights,
 //!     plus the steal / park / wake / affinity counters of the run.
 //!
-//! Occupancy is measured at `min(workers, host CPUs)` workers: with more
-//! threads than cores, the span clock measures how often the OS preempts a
-//! thread mid-task, not how well the scheduler feeds workers. The counters
-//! still come from the full `--workers` run, where stealing is actually
+//! Occupancy and the telemetry on/off deltas are measured at
+//! `min(workers, host CPUs)` workers: with more threads than cores, the
+//! clock measures how often the OS preempts a thread mid-task, not how well
+//! the scheduler feeds workers or what a span costs. The counters still
+//! come from the full `--workers` run, where stealing is actually
 //! exercised.
 //!
 //! The single-heap executor the work-stealing scheduler replaced is gone;
@@ -60,12 +61,28 @@ fn json_dispatch(r: &DispatchResult) -> String {
     )
 }
 
+/// Telemetry-off and telemetry-on timing of one graph.
+struct OffOn {
+    /// Minimum ns per task of each arm.
+    off_ns: f64,
+    on_ns: f64,
+    /// The larger of the two arms' median / minimum: how far a typical run
+    /// sits above the best one. A delta smaller than this is noise.
+    spread: f64,
+}
+
+impl OffOn {
+    fn pct(&self) -> f64 {
+        100.0 * (self.on_ns - self.off_ns) / self.off_ns
+    }
+}
+
 /// Telemetry-off and telemetry-on ns per task of `run` over a `tasks`-task
-/// graph: the minimum of `reps` interleaved off/on runs, after one untimed
-/// warm-up of each. Interleaving (alternating which arm goes first) spreads
-/// host drift over both arms; the minimum drops preemption noise.
-fn telemetry_off_on_ns(tasks: usize, reps: usize, mut run: impl FnMut()) -> (f64, f64) {
-    let mut best = [f64::INFINITY; 2];
+/// graph, from `reps` interleaved off/on runs after one untimed warm-up of
+/// each. Interleaving (alternating which arm goes first) spreads host drift
+/// over both arms; the minimum drops preemption noise.
+fn telemetry_off_on(tasks: usize, reps: usize, mut run: impl FnMut()) -> OffOn {
+    let mut times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
     for rep in 0..=reps {
         for on in [rep % 2 == 1, rep % 2 == 0] {
             obs::set_enabled(on);
@@ -73,14 +90,22 @@ fn telemetry_off_on_ns(tasks: usize, reps: usize, mut run: impl FnMut()) -> (f64
             run();
             let secs = t0.elapsed().as_secs_f64();
             if rep > 0 {
-                best[on as usize] = best[on as usize].min(secs);
+                times[on as usize].push(secs);
             }
         }
     }
     obs::set_enabled(false);
     obs::reset_rings();
     let ns = |secs: f64| secs * 1e9 / tasks as f64;
-    (ns(best[0]), ns(best[1]))
+    let [off, on] = times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        (t[0], t[t.len() / 2])
+    });
+    OffOn {
+        off_ns: ns(off.0),
+        on_ns: ns(on.0),
+        spread: (off.1 / off.0).max(on.1 / on.0),
+    }
 }
 
 struct OccupancyResult {
@@ -133,40 +158,44 @@ fn main() {
     // ring store (the scheduler reuses its existing clock reads). Measure
     // both states on the same graphs so the instrumentation cost is
     // tracked in the JSON alongside the dispatch numbers. Every delta is
-    // an interleaved min-of-N: a single-sample comparison swings far more
-    // than the effect.
-    let t_reps = reps.max(9);
-    let (flat_off, flat_on) = telemetry_off_on_ns(flat_r.tasks, t_reps, || {
-        execute_parallel(&flat, workers, |_| {}).unwrap();
-    });
-    let (chol_off, chol_on) = telemetry_off_on_ns(chol_r.tasks, t_reps, || {
-        execute_parallel(&dag.graph, workers, |_| {}).unwrap();
-    });
-    let flat_tele_pct = 100.0 * (flat_on - flat_off) / flat_off;
-    let chol_tele_pct = 100.0 * (chol_on - chol_off) / chol_off;
-    println!(
-        "telemetry on/off: flat {flat_off:.1} -> {flat_on:.1} ns/task ({flat_tele_pct:+.2}%), chol {chol_off:.1} -> {chol_on:.1} ns/task ({chol_tele_pct:+.2}%)"
-    );
-    // Cost-weighted bodies: one ring store amortized over kernel-scale
-    // work — the realistic overhead, and the number the <2% acceptance
-    // gate (`telemetry_smoke` / `scripts/verify.sh`) tracks. Measured at
-    // <= one worker per core for the same reason the occupancy comparison
-    // is: oversubscribed spin bodies time OS preemption, not the
-    // instrumentation.
+    // an interleaved min-of-N at <= one worker per core: oversubscribed
+    // workers time OS preemption, not the instrumentation.
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let occ_workers = workers.min(host_cpus);
+    let t_reps = reps.max(9);
+    let flat_t = telemetry_off_on(flat_r.tasks, t_reps, || {
+        execute_parallel(&flat, occ_workers, |_| {}).unwrap();
+    });
+    let chol_t = telemetry_off_on(chol_r.tasks, t_reps, || {
+        execute_parallel(&dag.graph, occ_workers, |_| {}).unwrap();
+    });
+    for (name, t) in [("flat", &flat_t), ("chol", &chol_t)] {
+        println!(
+            "telemetry on/off ({name}, {occ_workers} workers): {:.1} -> {:.1} ns/task ({:+.2}%, spread {:.3})",
+            t.off_ns,
+            t.on_ns,
+            t.pct(),
+            t.spread
+        );
+    }
+    // Cost-weighted bodies: one ring store amortized over kernel-scale
+    // work — the realistic overhead, and the number the <2% acceptance
+    // gate (`telemetry_smoke` / `scripts/verify.sh`) tracks.
     let wdag = build_dag(16);
     let wcosts: Vec<u64> = wdag
         .tasks
         .iter()
         .map(|t| kernel_cost(&DEFAULT_KERNEL_COSTS, t.kind()) as u64 * unit_ns)
         .collect();
-    let (w_off, w_on) = telemetry_off_on_ns(wdag.graph.len(), t_reps, || {
+    let w_t = telemetry_off_on(wdag.graph.len(), t_reps, || {
         execute_parallel(&wdag.graph, occ_workers, |id| spin(wcosts[id])).unwrap();
     });
-    let w_pct = 100.0 * (w_on - w_off) / w_off;
     println!(
-        "telemetry on/off (cost-weighted nt=16, {occ_workers} workers): {w_off:.1} -> {w_on:.1} ns/task ({w_pct:+.2}%)"
+        "telemetry on/off (cost-weighted nt=16, {occ_workers} workers): {:.1} -> {:.1} ns/task ({:+.2}%, spread {:.3})",
+        w_t.off_ns,
+        w_t.on_ns,
+        w_t.pct(),
+        w_t.spread
     );
 
     // --- occupancy on the Cholesky DAG with cost-weighted bodies ---------
@@ -216,8 +245,21 @@ fn main() {
             .trim_start_matches('{')
             .trim_end_matches('}')
     ));
+    let tele_rows: Vec<String> = [("flat", &flat_t), ("chol", &chol_t), ("weighted", &w_t)]
+        .iter()
+        .map(|(name, t)| {
+            format!(
+                "\"{name}_ns_off\": {:.1}, \"{name}_ns_on\": {:.1}, \"{name}_pct\": {:.2}, \"{name}_spread\": {:.3}",
+                t.off_ns,
+                t.on_ns,
+                t.pct(),
+                t.spread
+            )
+        })
+        .collect();
     json.push_str(&format!(
-        "  \"telemetry\": {{\"reps\": {t_reps}, \"flat_ns_off\": {flat_off:.1}, \"flat_ns_on\": {flat_on:.1}, \"flat_pct\": {flat_tele_pct:.2}, \"chol_ns_off\": {chol_off:.1}, \"chol_ns_on\": {chol_on:.1}, \"chol_pct\": {chol_tele_pct:.2}, \"weighted_ns_off\": {w_off:.1}, \"weighted_ns_on\": {w_on:.1}, \"weighted_pct\": {w_pct:.2}}},\n"
+        "  \"telemetry\": {{\"reps\": {t_reps}, \"workers\": {occ_workers}, {}}},\n",
+        tele_rows.join(", ")
     ));
     json.push_str("  \"occupancy\": [\n");
     for (i, r) in occ_results.iter().enumerate() {

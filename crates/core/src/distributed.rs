@@ -44,7 +44,8 @@
 
 use crate::conversion::{plan_conversions, wire_of, ConversionPlan, WirePolicy};
 use crate::factorize::{
-    lock_pt, read_pt, run_attempt, single_shot_options, ExecDag, DEFAULT_KERNEL_COSTS,
+    load_cells, lock_pt, read_pt, run_attempt, single_shot_options, write_back, ExecDag,
+    DEFAULT_KERNEL_COSTS,
 };
 use crate::precision_map::PrecisionMap;
 use crate::wire::{
@@ -598,12 +599,14 @@ fn factorize_on_grid(
     // One rank is shared memory: no broadcast nodes, no inbox.
     let ranks = (grid.nranks() > 1).then(|| Ranks::new(grid, pmap, policy, faults, retry));
     let dag = ExecDag::build(nt, &DEFAULT_KERNEL_COSTS, ranks.is_some());
+    let cells = load_cells(a, pmap, false);
     let out = run_attempt(
-        a,
+        &cells,
         &dag,
         pmap,
         &single_shot_options(workers),
         1,
+        None,
         ranks.as_ref(),
     )
     .unwrap_or_else(|e| panic!("worker panicked during factorization: {e}"));
@@ -612,6 +615,7 @@ fn factorize_on_grid(
         let (k, _) = dag.task(id).expect("only kernels break down").output_tile();
         return Err(DistError::NotSpd(NotSpd { column: k * a.nb() }));
     }
+    write_back(a, cells, pmap);
     stats.publish_metrics();
     Ok(stats)
 }

@@ -23,7 +23,7 @@ use mixedp_runtime::{
     RetryPolicy, TaskGraph, TaskId, WorkerStats,
 };
 use mixedp_tile::{SymmTileMatrix, Tile};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Poison-tolerant locking for the tile cells and STC caches: a panicking
@@ -59,6 +59,16 @@ impl CholeskyTask {
             CholeskyTask::Trsm { .. } => KernelKind::Trsm,
             CholeskyTask::Syrk { .. } => KernelKind::Syrk,
             CholeskyTask::Gemm { .. } => KernelKind::Gemm,
+        }
+    }
+
+    /// The elimination step `k` the task belongs to.
+    pub fn step(&self) -> usize {
+        match *self {
+            CholeskyTask::Potrf { k }
+            | CholeskyTask::Trsm { k, .. }
+            | CholeskyTask::Syrk { k, .. }
+            | CholeskyTask::Gemm { k, .. } => k,
         }
     }
 
@@ -247,23 +257,27 @@ impl ExecDag {
 /// Statistics of a numerical factorization run.
 #[derive(Debug, Clone)]
 pub struct FactorStats {
+    /// Kernel bodies actually executed, summed over all attempts. A clean
+    /// first pass runs every kernel of the DAG once; a recovered run counts
+    /// only what each attempt ran (pruned and kept tasks are not counted).
     pub tasks_run: usize,
-    pub kernel_counts: [usize; 4], // potrf, trsm, syrk, gemm
+    /// Kernels of the DAG per class: potrf, trsm, syrk, gemm.
+    pub kernel_counts: [usize; 4],
     pub wall_s: f64,
     /// Storage bytes of the factored matrix under the map vs full FP64.
     pub storage_bytes_mp: u64,
     pub storage_bytes_fp64: u64,
     /// Tile → compute-format quantizations actually executed (producer-side
-    /// conversions plus any consumer-side fallbacks).
+    /// conversions plus any consumer-side fallbacks), summed over attempts.
     pub conversions_performed: u64,
     /// GEMM operand quantizations skipped because a producer-converted
-    /// buffer (STC) was reused instead.
+    /// buffer (STC) was reused instead, summed over attempts.
     pub conversions_avoided: u64,
     /// Payload bytes of the avoided quantizations — the data-motion saving
-    /// of STC over convert-at-every-consumer (TTC).
+    /// of STC over convert-at-every-consumer (TTC) — summed over attempts.
     pub conversion_bytes_avoided: u64,
-    /// How many times the whole factorization ran (1 = clean first pass;
-    /// each additional attempt was a recovery restart).
+    /// How many attempts the factorization took (1 = clean first pass;
+    /// each additional attempt was a recovery restart or resume).
     pub factor_attempts: u32,
     /// The recovery log: one entry per restart, naming the breakdown and
     /// what the precision map escalation cost (paper-style visibility into
@@ -274,8 +288,8 @@ pub struct FactorStats {
     pub task_retries: u64,
     /// Per-worker scheduler counters of the nested executor, accumulated
     /// elementwise across all factorization attempts (empty for serial
-    /// runs). Previously only `retries` survived the `run_attempt`
-    /// boundary; the full dispatch picture now carries through.
+    /// runs). Every attempt dispatches the whole DAG, so `tasks` counts
+    /// pruned and kept tasks too.
     pub sched_per_worker: Vec<WorkerStats>,
     /// Sum of `sched_per_worker` — the run's scheduler totals.
     pub sched_totals: WorkerStats,
@@ -517,15 +531,23 @@ pub(crate) fn single_shot_options(nthreads: usize) -> FactorOptions {
 /// NaN/Inf caught by the post-kernel health check) escalates the offending
 /// tile's row/column one level toward FP64 in a working copy of the
 /// precision map (the whole map, when that cross is already FP64),
-/// re-plans conversions, and refactorizes — bounded by
+/// re-plans conversions, and runs another attempt — bounded by
 /// `opts.escalation_budget` — while task panics are retried by the runtime
 /// under `opts.retry`. Every recovery action is recorded in the returned
 /// [`FactorStats`] (`factor_attempts`, `escalations`, `task_retries`).
 ///
-/// Failure choice is deterministic: an attempt runs the whole DAG (kernels
-/// are bit-reproducible across schedules), collects every breakdown, and
-/// recovers the one with the smallest task id — so serial and parallel
-/// runs take the same escalation path.
+/// Failure choice is deterministic: kernels are bit-reproducible across
+/// schedules, and the loop recovers the breakdown with the smallest task
+/// id, so serial and parallel runs take the same escalation path.
+///
+/// The tile cells live across attempts. A non-SPD pivot at `POTRF(k)`
+/// whose cross escalation moved a tile *resumes*: the next attempt keeps
+/// the cells, re-derives only row and column `k` from `a` and reruns only
+/// the tasks that write them before step `k`, then every task from step
+/// `k` on. Any other recovery (a whole-map escalation, a non-finite or an
+/// injected failure) restarts from `a`. Either way the factor and the
+/// escalation trail are those of restarting every attempt from `a`, except
+/// that a fault plan can corrupt only the tasks an attempt runs.
 pub fn factorize_mp_recovering(
     a: &mut SymmTileMatrix,
     pmap: &PrecisionMap,
@@ -535,40 +557,47 @@ pub fn factorize_mp_recovering(
     assert_eq!(pmap.nt(), nt, "precision map / matrix mismatch");
     let dag = ExecDag::build(nt, &DEFAULT_KERNEL_COSTS, false);
     let mut map = pmap.clone();
+    let mut cells = load_cells(a, &map, opts.renarrow_storage);
+    let mut resume = None;
     let mut escalations: Vec<EscalationEvent> = Vec::new();
-    let mut task_retries = 0u64;
-    let mut sched_acc: Vec<WorkerStats> = Vec::new();
+    let mut work = AttemptWork::default();
     let t0 = std::time::Instant::now();
     let mut factor_attempt = 0u32;
     loop {
         factor_attempt += 1;
         let sp = obs::span_start();
-        let attempt = run_attempt(a, &dag, &map, opts, factor_attempt, None);
+        let attempt = run_attempt(&cells, &dag, &map, opts, factor_attempt, resume, None);
         obs::span_end(sp, obs::EventKind::FactorAttempt, factor_attempt as u64);
         let out = attempt?;
-        task_retries += out.task_retries;
-        accumulate_sched(&mut sched_acc, &out.sched_stats);
+        work.accumulate(&out.work);
         let Some((task_idx, cause)) = out.first_failure() else {
+            write_back(a, cells, &map);
             return Ok(finish_stats(
                 &dag,
                 &map,
                 a.nb(),
                 t0,
-                out,
+                work,
                 factor_attempt,
                 escalations,
-                task_retries,
-                sched_acc,
             ));
         };
         let task = dag.task(task_idx).expect("only kernels break down");
         let tile = task.output_tile();
+        resume = None;
         let escalated = if cause == BreakdownCause::Injected {
             // Transient injected corruption: a plain re-run recovers it
             // (rate faults hash the attempt number); never charge the map.
             0
         } else {
             let mut changed = map.escalate_cross(tile.0, tile.1);
+            if changed > 0 && cause == BreakdownCause::NotSpd {
+                // Only POTRF(k) reports a non-SPD pivot, and its
+                // descendants are every task after it: the cells hold
+                // steps 0..k, which the escalation changed only in the
+                // cross of k.
+                resume = Some(tile.0);
+            }
             if changed == 0 {
                 // The cross already runs in FP64, but narrower tiles
                 // outside it fed its updates: step the whole map.
@@ -601,23 +630,98 @@ pub fn factorize_mp_recovering(
             });
         }
         escalations.push(event);
+        // Re-derive what the next attempt recomputes, one tile at a time:
+        // the cross of a resumed step, or every tile.
+        for (cell, (i, j)) in cells.iter_mut().zip(lower_tiles(nt)) {
+            if resume.is_none_or(|k| i == k || j == k) {
+                *cell = fresh_cell(a, &map, opts.renarrow_storage, i, j);
+            }
+        }
     }
 }
 
-/// Result of one factorization attempt over the DAG.
-pub(crate) struct AttemptOutcome {
-    /// Breakdowns observed, sorted by task id (empty = clean attempt, and
-    /// the factor has been written back into the matrix).
-    failures: Vec<(TaskId, BreakdownCause)>,
+/// The coordinates of the lower-triangular tiles in packed order: the
+/// order of the cells, `cells[i(i+1)/2 + j]` holding tile `(i, j)`.
+fn lower_tiles(nt: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j)))
+}
+
+/// The cell tile `(i, j)` starts an attempt from: a copy of the caller's
+/// tile. With `renarrow`, the map's storage prescription is applied to it —
+/// a real narrowing, part of the method's error (Fig 2b) — re-derived from
+/// the caller's tile each time, so escalation recovers full-precision data
+/// rather than previously-degraded bits.
+fn fresh_cell(
+    a: &SymmTileMatrix,
+    pmap: &PrecisionMap,
+    renarrow: bool,
+    i: usize,
+    j: usize,
+) -> RwLock<Tile> {
+    let t = a.tile(i, j);
+    RwLock::new(if renarrow && t.storage() != pmap.storage(i, j) {
+        t.converted_to(pmap.storage(i, j))
+    } else {
+        t.clone()
+    })
+}
+
+/// Every cell of a first attempt, one per lower tile of `a`.
+pub(crate) fn load_cells(
+    a: &SymmTileMatrix,
+    pmap: &PrecisionMap,
+    renarrow: bool,
+) -> Vec<RwLock<Tile>> {
+    lower_tiles(a.nt())
+        .map(|(i, j)| fresh_cell(a, pmap, renarrow, i, j))
+        .collect()
+}
+
+/// Move a clean attempt's factor into `a`, each tile converted to the
+/// storage of its map entry.
+pub(crate) fn write_back(a: &mut SymmTileMatrix, cells: Vec<RwLock<Tile>>, pmap: &PrecisionMap) {
+    for (cell, (i, j)) in cells.into_iter().zip(lower_tiles(pmap.nt())) {
+        let tile = cell.into_inner().unwrap_or_else(|e| e.into_inner());
+        *a.tile_mut(i, j) = tile.converted_to(pmap.storage(i, j));
+    }
+}
+
+/// The work counters of an attempt; the recovery loop sums them.
+#[derive(Default)]
+struct AttemptWork {
+    tasks_run: u64,
     conv_performed: u64,
     conv_avoided: u64,
     conv_bytes_avoided: u64,
     task_retries: u64,
     /// Per-worker counters of the nested executor (empty for serial runs).
-    /// Before these were carried, everything except `retries` was dropped
-    /// at this boundary — steals/parks/wakes of the inner scheduler were
-    /// invisible to callers.
-    sched_stats: Vec<WorkerStats>,
+    sched: Vec<WorkerStats>,
+}
+
+impl AttemptWork {
+    /// Add `from`'s counters; per-worker counters elementwise (workers are
+    /// identified by index, and attempts all run with the same `nthreads`).
+    fn accumulate(&mut self, from: &AttemptWork) {
+        self.tasks_run += from.tasks_run;
+        self.conv_performed += from.conv_performed;
+        self.conv_avoided += from.conv_avoided;
+        self.conv_bytes_avoided += from.conv_bytes_avoided;
+        self.task_retries += from.task_retries;
+        if self.sched.len() < from.sched.len() {
+            self.sched.resize(from.sched.len(), WorkerStats::default());
+        }
+        for (d, s) in self.sched.iter_mut().zip(&from.sched) {
+            d.accumulate(s);
+        }
+    }
+}
+
+/// Result of one factorization attempt over the DAG.
+pub(crate) struct AttemptOutcome {
+    /// Breakdowns observed, sorted by task id (empty = clean attempt: the
+    /// cells hold the factor).
+    failures: Vec<(TaskId, BreakdownCause)>,
+    work: AttemptWork,
 }
 
 impl AttemptOutcome {
@@ -630,11 +734,20 @@ impl AttemptOutcome {
     }
 }
 
-/// Run the Cholesky DAG once under `pmap` — the one task body that executes
-/// Algorithm 1's kernels. On a clean pass the factor is written back into
-/// `a` (storage per the map); on breakdown `a` is left untouched and the
-/// failures are reported. Every task body runs, so the set of observed
-/// breakdowns — and hence the escalation choice — is schedule-independent.
+/// Run the Cholesky DAG once under `pmap` over `cells` — the one task body
+/// that executes Algorithm 1's kernels. On a clean pass the cells hold the
+/// factor; otherwise the failures are reported.
+///
+/// A task whose id is larger than the smallest failure recorded so far
+/// skips its body. Task ids follow step order and every ancestor has a
+/// smaller id, so the tasks up to the smallest failure all run and the
+/// failure the recovery loop picks is schedule-independent. With
+/// `resume = Some(k)` the cells already hold steps `0..k` of an earlier
+/// attempt except row and column `k`, re-derived from the caller's tiles:
+/// only the tasks of steps `0..k` that write that cross run, then every
+/// task from step `k` on. No other task of steps `0..k` reads a cross
+/// tile, and the cross tasks read outside it only final panel tiles.
+/// Skipped tasks still dispatch, with an empty body.
 ///
 /// `ranks` places the tiles on a multi-rank grid (owner-computes): a task
 /// reads a tile another rank owns from its own rank's inbox slot, filled by
@@ -643,38 +756,27 @@ impl AttemptOutcome {
 /// downstream would wait for payloads that are never sent. `None` is shared
 /// memory, the 1×1 grid.
 pub(crate) fn run_attempt(
-    a: &mut SymmTileMatrix,
+    cells: &[RwLock<Tile>],
     dag: &ExecDag,
     pmap: &PrecisionMap,
     opts: &FactorOptions,
     factor_attempt: u32,
+    resume: Option<usize>,
     ranks: Option<&Ranks>,
 ) -> Result<AttemptOutcome, FactorError> {
-    let nt = a.nt();
+    let nt = pmap.nt();
     let nthreads = opts.nthreads;
-
-    // Move tiles into per-tile RwLocks for concurrent kernel execution.
-    let ncells = nt * (nt + 1) / 2;
-    let mut cells: Vec<RwLock<Tile>> = Vec::with_capacity(ncells);
-    for i in 0..nt {
-        for j in 0..=i {
-            let t = a.tile(i, j);
-            let cell = if opts.renarrow_storage && t.storage() != pmap.storage(i, j) {
-                // The map's storage prescription is a real narrowing (part
-                // of the method's error, Fig 2b) — re-derived fresh from
-                // the caller's tiles each attempt so escalation recovers
-                // full-precision data, not previously-degraded bits.
-                t.converted_to(pmap.storage(i, j))
-            } else {
-                t.clone()
-            };
-            cells.push(RwLock::new(cell));
-        }
-    }
+    let ncells = cells.len();
     let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
     let failures: Mutex<Vec<(TaskId, BreakdownCause)>> = Mutex::new(Vec::new());
+    // The smallest failure so far. A failure is recorded before its task
+    // completes, and the scheduler's dependency release orders that before
+    // any descendant starts; a task racing the record from another branch
+    // may still run, which moves only the work counters.
+    let first_failure = AtomicUsize::new(usize::MAX);
     let record_failure = |task_idx: TaskId, cause: BreakdownCause| {
         lock_pt(&failures).push((task_idx, cause));
+        first_failure.fetch_min(task_idx, Ordering::AcqRel);
         if let Some(r) = ranks {
             r.halt();
         }
@@ -699,10 +801,10 @@ pub(crate) fn run_attempt(
     let caches: Vec<Mutex<Slots>> = (0..ncells).map(|_| Mutex::new(Slots::default())).collect();
     // GEMM reads remaining per panel tile (m,k): A-operand of GEMM(m,n,k)
     // for n in k+1..m, B-operand of GEMM(m',m,k) for m' in m+1..nt.
-    let readers: Vec<AtomicU64> = (0..nt)
-        .flat_map(|i| (0..=i).map(move |j| (i, j)))
+    let readers: Vec<AtomicU64> = lower_tiles(nt)
         .map(|(i, j)| AtomicU64::new(if i > j { (nt - j - 2) as u64 } else { 0 }))
         .collect();
+    let tasks_run = AtomicU64::new(0);
     let conv_performed = AtomicU64::new(0);
     let conv_avoided = AtomicU64::new(0);
     let conv_bytes_avoided = AtomicU64::new(0);
@@ -742,18 +844,24 @@ pub(crate) fn run_attempt(
     };
 
     let run_task = |ws: &mut Workspace, task_idx: TaskId| {
-        if halted() {
+        if halted() || task_idx > first_failure.load(Ordering::Acquire) {
             return;
         }
         let t = match dag.nodes[task_idx] {
             Node::Kernel(t) => t,
             Node::PanelBroadcast { k } => {
                 if let Some(r) = ranks {
-                    r.broadcast_panel(k, &cells, ws);
+                    r.broadcast_panel(k, cells, ws);
                 }
                 return;
             }
         };
+        let (oi, oj) = t.output_tile();
+        if resume.is_some_and(|k| t.step() < k && oi != k && oj != k) {
+            // Kept from the previous attempt: outside the resumed cross.
+            return;
+        }
+        tasks_run.fetch_add(1, Ordering::Relaxed);
         match t {
             CholeskyTask::Potrf { k } => {
                 let mut c = write_pt(&cells[idx(k, k)]);
@@ -767,7 +875,7 @@ pub(crate) fn run_attempt(
                 // L_kk is one frame: its broadcast to the column's TRSM
                 // owners runs right here.
                 if let Some(r) = ranks {
-                    r.broadcast_diag(k, &cells, ws);
+                    r.broadcast_diag(k, cells, ws);
                 }
             }
             CholeskyTask::Trsm { m, k } => {
@@ -868,7 +976,7 @@ pub(crate) fn run_attempt(
         },
         ExecuteError::WorkerPanicked => FactorError::WorkerPanicked,
     };
-    let (task_retries, sched_stats) = if nthreads <= 1 {
+    let (task_retries, sched) = if nthreads <= 1 {
         let mut ws = Workspace::new();
         let (_, rt_failures) =
             execute_serial_ctx_opts(&dag.graph, &mut ws, |ws, id| run_task(ws, id), &exec_opts)
@@ -890,55 +998,28 @@ pub(crate) fn run_attempt(
     failures.sort_by_key(|&(id, _)| id);
     failures.dedup_by_key(|&mut (id, _)| id);
 
-    if failures.is_empty() && !halted() {
-        // Write tiles back, converting storage to the map's prescription
-        // (the factor tile keeps the storage precision of its map entry).
-        let mut cells_iter = cells.into_iter();
-        for i in 0..nt {
-            for j in 0..=i {
-                let tile = cells_iter
-                    .next()
-                    .unwrap()
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner());
-                *a.tile_mut(i, j) = tile.converted_to(pmap.storage(i, j));
-            }
-        }
-    }
-
     Ok(AttemptOutcome {
         failures,
-        conv_performed: conv_performed.into_inner(),
-        conv_avoided: conv_avoided.into_inner(),
-        conv_bytes_avoided: conv_bytes_avoided.into_inner(),
-        task_retries,
-        sched_stats,
+        work: AttemptWork {
+            tasks_run: tasks_run.into_inner(),
+            conv_performed: conv_performed.into_inner(),
+            conv_avoided: conv_avoided.into_inner(),
+            conv_bytes_avoided: conv_bytes_avoided.into_inner(),
+            task_retries,
+            sched,
+        },
     })
 }
 
-/// Elementwise-accumulate per-worker counters across attempts (workers are
-/// identified by index; attempts all run with the same `nthreads`).
-fn accumulate_sched(into: &mut Vec<WorkerStats>, from: &[WorkerStats]) {
-    if into.len() < from.len() {
-        into.resize(from.len(), WorkerStats::default());
-    }
-    for (d, s) in into.iter_mut().zip(from) {
-        d.accumulate(s);
-    }
-}
-
 /// Assemble the [`FactorStats`] of a successful run.
-#[allow(clippy::too_many_arguments)]
 fn finish_stats(
     dag: &ExecDag,
     pmap: &PrecisionMap,
     nb: usize,
     t0: std::time::Instant,
-    out: AttemptOutcome,
+    work: AttemptWork,
     factor_attempts: u32,
     escalations: Vec<EscalationEvent>,
-    task_retries: u64,
-    sched_per_worker: Vec<WorkerStats>,
 ) -> FactorStats {
     let (mp_bytes, fp64_bytes) = pmap.storage_bytes(nb);
     let mut counts = [0usize; 4];
@@ -951,22 +1032,22 @@ fn finish_stats(
         }
     }
     let mut sched_totals = WorkerStats::default();
-    for s in &sched_per_worker {
+    for s in &work.sched {
         sched_totals.accumulate(s);
     }
     let stats = FactorStats {
-        tasks_run: counts.iter().sum(),
+        tasks_run: work.tasks_run as usize,
         kernel_counts: counts,
         wall_s: t0.elapsed().as_secs_f64(),
         storage_bytes_mp: mp_bytes,
         storage_bytes_fp64: fp64_bytes,
-        conversions_performed: out.conv_performed,
-        conversions_avoided: out.conv_avoided,
-        conversion_bytes_avoided: out.conv_bytes_avoided,
+        conversions_performed: work.conv_performed,
+        conversions_avoided: work.conv_avoided,
+        conversion_bytes_avoided: work.conv_bytes_avoided,
         factor_attempts,
         escalations,
-        task_retries,
-        sched_per_worker,
+        task_retries: work.task_retries,
+        sched_per_worker: work.sched,
         sched_totals,
     };
     stats.publish_metrics();

@@ -3,6 +3,7 @@
 //! and the determinism contract — a fault-injected run is a pure function
 //! of `(fault seed, input)` regardless of worker count.
 
+use mixedp_core::factorize::build_dag;
 use mixedp_core::{
     factorize_mp, factorize_mp_recovering, uniform_map, BreakdownCause, FactorError, FactorOptions,
     PrecisionMap,
@@ -10,7 +11,7 @@ use mixedp_core::{
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_kernels::reconstruction_error;
 use mixedp_runtime::{FaultPlan, RetryPolicy};
-use mixedp_tile::{DenseMatrix, SymmTileMatrix};
+use mixedp_tile::{tile_fro_norms, DenseMatrix, SymmTileMatrix};
 use proptest::prelude::*;
 
 /// An SPD-in-FP64 but severely ill-conditioned matrix: a strongly
@@ -114,6 +115,104 @@ fn breakdown_under_an_fp64_cross_escalates_the_whole_map() {
         );
         assert!(err64 <= err, "FP64 reference is the accuracy floor");
     }
+}
+
+/// A squared-exponential covariance on `n` evenly spaced points with the
+/// given range and nugget.
+fn sqexp(n: usize, nb: usize, range: f64, nugget: f64) -> SymmTileMatrix {
+    SymmTileMatrix::from_fn(
+        n,
+        nb,
+        |i, j| {
+            let d = (i as f64 - j as f64) / (n as f64 * range);
+            (-d * d).exp() + if i == j { nugget } else { 0.0 }
+        },
+        |_, _| StoragePrecision::F64,
+    )
+}
+
+fn lower_bits(l: &SymmTileMatrix) -> Vec<u64> {
+    let n = l.n();
+    (0..n)
+        .flat_map(|i| (0..=i).map(move |j| (i, j)))
+        .map(|(i, j)| l.get(i, j).to_bits())
+        .collect()
+}
+
+/// The replay oracle of the recovery loop: every attempt restarted from
+/// the caller's matrix. A resumed attempt keeps the previous attempt's
+/// tiles and reruns only the escalated cross; its trail and factor must be
+/// those of single whole-DAG attempts under each intermediate map.
+#[test]
+fn resumed_escalation_matches_whole_dag_replay() {
+    // (n, nb, range, nugget) of sqexp data under the adaptive 1e-4 map.
+    // 100 and 130 are ragged (a short last tile row); 100 breaks down twice
+    // at steps 4 and 5, 130 four times at step 4 (the last one a whole-map
+    // escalation, so the final attempt restarts); 160 skips from step 4 to
+    // step 7, so the tiles a resume recomputes are not all in later crosses.
+    let cases = [
+        (100, 16, 0.2, 1e-6),
+        (130, 16, 0.2, 1e-4),
+        (160, 16, 0.05, 1e-6),
+    ];
+    let mut repeated_step = false;
+    for (n, nb, range, nugget) in cases {
+        let a0 = sqexp(n, nb, range, nugget);
+        let pmap = PrecisionMap::from_norms(&tile_fro_norms(&a0), 1e-4, &Precision::ADAPTIVE_SET);
+        let kernels = build_dag(a0.nt()).tasks.len();
+        for nthreads in [1usize, 4] {
+            for renarrow_storage in [false, true] {
+                let opts = FactorOptions {
+                    nthreads,
+                    renarrow_storage,
+                    ..Default::default()
+                };
+                let case = format!("n={n} nb={nb} workers={nthreads} renarrow={renarrow_storage}");
+                let mut l = a0.clone();
+                let stats = factorize_mp_recovering(&mut l, &pmap, &opts).unwrap();
+                assert!(stats.escalations.len() >= 2, "{case}: trail too short");
+                let steps: Vec<(usize, usize)> = stats.escalations.iter().map(|e| e.tile).collect();
+                repeated_step |= steps.windows(2).any(|w| w[0] == w[1]);
+                assert!(
+                    stats.tasks_run < stats.factor_attempts as usize * kernels,
+                    "{case}: {} kernel bodies over {} attempts of {kernels}",
+                    stats.tasks_run,
+                    stats.factor_attempts
+                );
+
+                let single = FactorOptions {
+                    escalation_budget: 0,
+                    ..opts.clone()
+                };
+                let mut map = pmap.clone();
+                for e in &stats.escalations {
+                    let mut fresh = a0.clone();
+                    match factorize_mp_recovering(&mut fresh, &map, &single) {
+                        Err(FactorError::EscalationExhausted { last, .. }) => {
+                            assert_eq!(
+                                (last.task, last.tile, last.cause, last.escalated_tiles),
+                                (e.task, e.tile, e.cause, e.escalated_tiles),
+                                "{case}: attempt {}",
+                                e.factor_attempt
+                            );
+                        }
+                        other => panic!("{case}: attempt {} gave {other:?}", e.factor_attempt),
+                    }
+                    let mut changed = map.escalate_cross(e.tile.0, e.tile.1);
+                    if changed == 0 {
+                        changed = map.escalate_all();
+                    }
+                    assert_eq!(changed, e.escalated_tiles, "{case}");
+                }
+                let mut fresh = a0.clone();
+                let last = factorize_mp_recovering(&mut fresh, &map, &single)
+                    .unwrap_or_else(|e| panic!("{case}: final map must factor: {e}"));
+                assert_eq!(last.factor_attempts, 1);
+                assert_eq!(lower_bits(&fresh), lower_bits(&l), "{case}: factor bits");
+            }
+        }
+    }
+    assert!(repeated_step, "no trail broke down twice at the same step");
 }
 
 #[test]

@@ -8,29 +8,44 @@ use mixedp_tile::SymmTileMatrix;
 
 /// Solve `L y = b` in place on `b`, where `l` holds the lower Cholesky
 /// factor tile-wise (as produced by the mixed-precision factorization).
+///
+/// Bit-identical to [`blas::forward_solve_in_place`] on
+/// `l.to_dense_lower()`: each row keeps one running sum, accumulated over
+/// the row's tiles in ascending column order — the dense solver's order —
+/// and each tile is widened once, exactly.
 pub fn forward_solve_tiled(l: &SymmTileMatrix, b: &mut [f64]) {
     let n = l.n();
     assert_eq!(b.len(), n);
     let nb = l.nb();
-    let nt = l.nt();
-    for k in 0..nt {
+    // The start of `Sum for f64`'s fold, which the dense solver's row sums
+    // use: it decides the sign of a sum of zeros.
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    let mut sums = vec![zero; nb];
+    let mut t = Vec::with_capacity(nb * nb);
+    for k in 0..l.nt() {
         let rk = l.tile_rows(k);
         let off_k = k * nb;
-        // subtract contributions of already-solved blocks: b_k -= L_kj y_j
+        let sums = &mut sums[..rk];
+        sums.fill(zero);
+        // the row sums over the solved blocks: L_kj y_j for j < k
         for j in 0..k {
-            let t = l.tile(k, j);
-            let off_j = j * nb;
-            for i in 0..rk {
-                let mut s = 0.0;
-                for c in 0..t.cols() {
-                    s += t.get(i, c) * b[off_j + c];
+            let cj = l.tile_rows(j);
+            l.tile(k, j).read_f64_into(&mut t);
+            let y = &b[j * nb..j * nb + cj];
+            for (s, row) in sums.iter_mut().zip(t.chunks_exact(cj)) {
+                for (x, yc) in row.iter().zip(y) {
+                    *s += x * yc;
                 }
-                b[off_k + i] -= s;
             }
         }
-        // solve the diagonal block
-        let d = l.tile(k, k).to_f64();
-        blas::forward_solve_in_place(&d, rk, &mut b[off_k..off_k + rk]);
+        // then the diagonal block, row by row
+        l.tile(k, k).read_f64_into(&mut t);
+        for (i, s) in sums.iter().enumerate() {
+            let row = &t[i * rk..(i + 1) * rk];
+            let y = &b[off_k..off_k + i];
+            let s = row.iter().zip(y).fold(*s, |s, (x, yc)| s + x * yc);
+            b[off_k + i] = (b[off_k + i] - s) / row[i];
+        }
     }
 }
 
@@ -110,6 +125,49 @@ mod tests {
         blas::forward_solve_in_place(d.data(), n, &mut b_dense);
         for (x, y) in b_tiled.iter().zip(&b_dense) {
             assert!((x - y).abs() < 1e-11, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn forward_is_bit_identical_to_dense_solver_on_mixed_storage() {
+        // A ragged factor whose tiles are stored in FP64, FP32 and FP16:
+        // the tiled solve must give the dense solver's bits on the widened
+        // factor, including signed zeros from an all-zero row prefix.
+        let n = 23;
+        let nb = 5;
+        let a = spd(n);
+        let dense_l = factor_tiled(&a, nb);
+        let storage = |i: usize, j: usize| match (i + 2 * j) % 3 {
+            _ if i == j => StoragePrecision::F64,
+            0 => StoragePrecision::F16,
+            1 => StoragePrecision::F32,
+            _ => StoragePrecision::F64,
+        };
+        let l = SymmTileMatrix::from_fn(
+            n,
+            nb,
+            |i, j| {
+                if i / nb == 2 && j < i {
+                    0.0
+                } else {
+                    dense_l.get(i, j)
+                }
+            },
+            storage,
+        );
+        let d = l.to_dense_lower();
+        for b0 in [
+            (0..n).map(|i| (i as f64) * 0.3 - 2.0).collect::<Vec<_>>(),
+            (0..n)
+                .map(|i| if i < 12 { -0.0 } else { 1.0 / (1.0 + i as f64) })
+                .collect(),
+        ] {
+            let mut b_tiled = b0.clone();
+            forward_solve_tiled(&l, &mut b_tiled);
+            let mut b_dense = b0;
+            blas::forward_solve_in_place(d.data(), n, &mut b_dense);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&b_tiled), bits(&b_dense));
         }
     }
 

@@ -27,6 +27,9 @@ FAULT_SEEDS="1,7,42,20260807,987654321" \
 echo "== exhaustive FP16-emulation checks (release, 2^32 inputs each, ~2 min)"
 cargo test --offline -q --release -p mixedp-fp --test f16_exhaustive -- --ignored
 
+echo "== likelihood benchmark tests (release: quick runs of both workloads and their bit gates)"
+cargo test --offline --release --manifest-path likbench/Cargo.toml
+
 echo "== packed-wire property tests (release)"
 cargo test --offline -q --release -p mixedp-core --test wire_roundtrip
 cargo test --offline -q --release -p mixedp-core wire::
