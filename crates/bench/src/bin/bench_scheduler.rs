@@ -12,9 +12,10 @@
 //! Occupancy and the telemetry on/off deltas are measured at
 //! `min(workers, host CPUs)` workers: with more threads than cores, the
 //! clock measures how often the OS preempts a thread mid-task, not how well
-//! the scheduler feeds workers or what a span costs. The counters still
-//! come from the full `--workers` run, where stealing is actually
-//! exercised.
+//! the scheduler feeds workers or what a span costs. Occupancy is read off
+//! the traced run's `TaskExec` spans, over every worker of the run, from
+//! the first span's start to the last span's end. The counters still come
+//! from the full `--workers` run, where stealing is actually exercised.
 //!
 //! The single-heap executor the work-stealing scheduler replaced is gone;
 //! its last measured numbers are copied into the JSON as the frozen
@@ -27,7 +28,7 @@ use mixedp_bench::timing::{median_secs, spin};
 use mixedp_bench::Args;
 use mixedp_core::factorize::{build_dag, kernel_cost, DEFAULT_KERNEL_COSTS};
 use mixedp_obs as obs;
-use mixedp_runtime::{execute_parallel, ExecutionTrace, TaskGraph};
+use mixedp_runtime::{execute_parallel, TaskGraph, WorkerStats};
 use std::time::Instant;
 
 /// The last measurement of the retired single-heap executor (one global
@@ -108,11 +109,15 @@ fn telemetry_off_on(tasks: usize, reps: usize, mut run: impl FnMut()) -> OffOn {
     }
 }
 
+/// Time bins of the occupancy timeline; the run average does not depend
+/// on the count.
+const OCCUPANCY_BINS: usize = 64;
+
 struct OccupancyResult {
     nt: usize,
     tasks: usize,
     occupancy: f64,
-    trace: ExecutionTrace,
+    stats: WorkerStats,
 }
 
 fn main() {
@@ -154,12 +159,12 @@ fn main() {
     );
 
     // --- telemetry on/off dispatch delta ---------------------------------
-    // Disabled spans cost one relaxed load per task; enabled spans add one
-    // ring store (the scheduler reuses its existing clock reads). Measure
-    // both states on the same graphs so the instrumentation cost is
-    // tracked in the JSON alongside the dispatch numbers. Every delta is
-    // an interleaved min-of-N at <= one worker per core: oversubscribed
-    // workers time OS preemption, not the instrumentation.
+    // Disabled spans cost one relaxed load per task; enabled spans add two
+    // clock reads and one ring store. Measure both states on the same
+    // graphs so the instrumentation cost is tracked in the JSON alongside
+    // the dispatch numbers. Every delta is an interleaved min-of-N at <= one
+    // worker per core: oversubscribed workers time OS preemption, not the
+    // instrumentation.
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let occ_workers = workers.min(host_cpus);
     let t_reps = reps.max(9);
@@ -209,12 +214,19 @@ fn main() {
             .collect();
         // counters from the full --workers run (stealing exercised) ...
         execute_parallel(&dag.graph, workers, |id| spin(costs[id])).unwrap();
-        let trace = execute_parallel(&dag.graph, workers, |id| spin(costs[id])).unwrap();
-        // ... occupancy comparison at <= one worker per core
-        let occ = execute_parallel(&dag.graph, occ_workers, |id| spin(costs[id]))
+        let s = execute_parallel(&dag.graph, workers, |id| spin(costs[id]))
             .unwrap()
-            .occupancy();
-        let s = trace.total_stats();
+            .total_stats();
+        // ... occupancy at <= one worker per core, from the span stream of
+        // the second of two traced runs: the first pools the workers'
+        // rings, whose allocation mid-run would read as idle time
+        obs::set_enabled(true);
+        for _ in 0..2 {
+            obs::collect();
+            execute_parallel(&dag.graph, occ_workers, |id| spin(costs[id])).unwrap();
+        }
+        obs::set_enabled(false);
+        let occ = obs::occupancy_timeline(&obs::collect(), OCCUPANCY_BINS).mean_over(occ_workers);
         println!(
             "occupancy nt={nt:<3} {:>5} tasks   {:>5.1}% ({occ_workers} workers)   steals {:>5} (tasks {:>5})   parks {:>4}   wakes {:>4}   affinity {:>5}",
             dag.graph.len(),
@@ -229,7 +241,7 @@ fn main() {
             nt,
             tasks: dag.graph.len(),
             occupancy: occ,
-            trace,
+            stats: s,
         });
     }
 
@@ -263,7 +275,7 @@ fn main() {
     ));
     json.push_str("  \"occupancy\": [\n");
     for (i, r) in occ_results.iter().enumerate() {
-        let s = r.trace.total_stats();
+        let s = &r.stats;
         let comma = if i + 1 == occ_results.len() { "" } else { "," };
         json.push_str(&format!(
             "    {{\"nt\": {}, \"tasks\": {}, \"occupancy\": {:.4}, \"steals\": {}, \"stolen_tasks\": {}, \"failed_steals\": {}, \"local_pops\": {}, \"parks\": {}, \"wakes\": {}, \"affinity_dispatches\": {}}}{}\n",

@@ -7,8 +7,7 @@
 use mixedp_bench::Args;
 use mixedp_core::factorize::{build_dag, CholeskyTask};
 use mixedp_obs as obs;
-use mixedp_runtime::execute_parallel;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use mixedp_runtime::{execute_parallel, validate_task_spans};
 
 fn name(t: &CholeskyTask) -> String {
     match *t {
@@ -61,19 +60,11 @@ fn main() {
     );
 
     // Asynchronous execution demo: tasks of iteration k+1 can start before
-    // iteration k has fully drained (PaRSEC's asynchrony, §III-B). The
-    // Gantt comes straight from the telemetry span stream.
+    // iteration k has fully drained (PaRSEC's asynchrony, §III-B). Makespan,
+    // occupancy and the Gantt all come from the telemetry span stream.
+    let workers = 4;
     obs::set_enabled(true);
-    let max_started_iter_while_k0_running = AtomicUsize::new(0);
-    let k0_running = AtomicUsize::new(0);
-    let trace = execute_parallel(&dag.graph, 4, |id| {
-        let it = iteration(&dag.tasks[id]);
-        if it == 0 {
-            k0_running.fetch_add(1, Ordering::SeqCst);
-        } else {
-            // record the deepest iteration started while k=0 work remains
-            max_started_iter_while_k0_running.fetch_max(it, Ordering::SeqCst);
-        }
+    let trace = execute_parallel(&dag.graph, workers, |_| {
         // emulate kernel work
         let mut acc = 0u64;
         for i in 0..200_000u64 {
@@ -82,14 +73,16 @@ fn main() {
         std::hint::black_box(acc);
     })
     .unwrap();
+    obs::set_enabled(false);
+    let spans = obs::collect();
+    validate_task_spans(&dag.graph, &spans).expect("span stream of the demo run");
+    let occ = obs::occupancy_timeline(&spans, 64);
     println!(
-        "\nasynchronous run on 4 workers: makespan {:.3} ms, occupancy {:.0}%",
-        trace.makespan_ns() as f64 / 1e6,
-        trace.occupancy() * 100.0
+        "\nasynchronous run on {workers} workers: makespan {:.3} ms, occupancy {:.0}%",
+        occ.bin_ns * occ.aggregate.len() as f64 / 1e6,
+        occ.mean_over(workers) * 100.0
     );
     println!("(tasks fired as dependencies were satisfied — no iteration barriers)\n");
-    let spans = obs::collect();
-    obs::set_enabled(false);
     println!("Gantt (task-id mod 10 per slot; '·' idle):");
     print!(
         "{}",

@@ -6,7 +6,8 @@
 //!
 //! 1. **bit-identity** — the factor computed with tracing on is bit-for-bit
 //!    the factor computed with tracing off (telemetry never touches
-//!    numerical data);
+//!    numerical data), and the factorization's task spans pass
+//!    `validate_task_spans` against its DAG;
 //! 2. **Chrome export** — `chrome_trace_json` validates against the
 //!    `trace_event` schema, with task spans, kernel spans, wire spans and
 //!    per-worker tracks present;
@@ -32,7 +33,7 @@ use mixedp_core::{
 };
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_obs as obs;
-use mixedp_runtime::execute_parallel;
+use mixedp_runtime::{execute_parallel, validate_task_spans};
 use mixedp_tile::{Grid2d, SymmTileMatrix};
 
 fn spd_matrix(n: usize, nb: usize) -> SymmTileMatrix {
@@ -97,12 +98,16 @@ fn main() {
     let t0 = Instant::now();
     let mut a_on = a0.clone();
     let stats = factorize_mp(&mut a_on, &m, threads).expect("traced factorization");
+    let factor_trace = obs::collect();
     let mut a_dist = a0.clone();
     let dist = factorize_mp_distributed(&mut a_dist, &m, &Grid2d::new(2, 2), WirePolicy::Auto)
         .expect("traced distributed factorization");
     let wall_s = t0.elapsed().as_secs_f64();
     obs::set_enabled(false);
-    let trace = obs::collect();
+    let mut trace = obs::collect();
+    trace.dropped += factor_trace.dropped;
+    trace.records.extend_from_slice(&factor_trace.records);
+    trace.records.sort_by_key(|r| (r.ts_ns, r.track));
 
     // --- 1. bit-identity ---------------------------------------------------
     let mut identical = true;
@@ -115,6 +120,9 @@ fn main() {
     }
     assert!(identical, "tracing must not change the computed factor");
     println!("bit-identity: traced factor identical to untraced factor");
+    validate_task_spans(&build_dag(nt).graph, &factor_trace)
+        .expect("factorization span stream must validate");
+    println!("span stream: one TaskExec per task of the {nt}x{nt} DAG, in dependency order");
 
     // --- 2. Chrome export --------------------------------------------------
     assert!(

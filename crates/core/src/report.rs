@@ -191,24 +191,3 @@ pub fn summarize(report: &SimReport) -> String {
         report.gflops_per_watt(),
     )
 }
-
-/// Render a row of `(label, value)` columns with fixed widths — the common
-/// format of the table reproductions.
-pub fn table_row(cells: &[String], width: usize) -> String {
-    cells
-        .iter()
-        .map(|c| format!("{c:>width$}"))
-        .collect::<Vec<_>>()
-        .join(" | ")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table_row_pads() {
-        let r = table_row(&["a".into(), "bb".into()], 4);
-        assert_eq!(r, "   a |   bb");
-    }
-}

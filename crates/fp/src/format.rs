@@ -94,11 +94,6 @@ impl Precision {
         }
     }
 
-    /// Whether this mode runs on tensor cores on the GPUs of Table I.
-    pub fn uses_tensor_cores(self) -> bool {
-        !matches!(self, Precision::Fp32)
-    }
-
     /// Short label matching the paper's notation.
     pub fn label(self) -> &'static str {
         match self {

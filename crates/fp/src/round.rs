@@ -139,18 +139,6 @@ pub fn add_f16(a: f64, b: f64) -> f64 {
     round_f16(a + b)
 }
 
-/// Emulated FP16 multiplication with binary16 result rounding.
-#[inline]
-pub fn mul_f16(a: f64, b: f64) -> f64 {
-    round_f16(a * b)
-}
-
-/// Emulated FP32 fused multiply-add: product and sum in f32.
-#[inline]
-pub fn fma_f32(acc: f64, a: f64, b: f64) -> f64 {
-    (acc as f32 + (a as f32) * (b as f32)) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,6 +227,5 @@ mod tests {
         // ulp(2048) = 2, halfway = 1, ties-to-even keeps 2048.
         assert_eq!(add_f16(2048.0, 1.0), 2048.0);
         assert_eq!(add_f16(2048.0, 1.5), 2050.0);
-        assert_eq!(mul_f16(3.0, 0.5), 1.5);
     }
 }

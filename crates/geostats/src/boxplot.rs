@@ -39,11 +39,6 @@ impl BoxplotStats {
         }
     }
 
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
     /// One-line rendering for text tables.
     pub fn to_row(&self) -> String {
         format!(
@@ -66,7 +61,6 @@ mod tests {
         assert_eq!(s.q3, 4.0);
         assert_eq!(s.max, 5.0);
         assert_eq!(s.mean, 3.0);
-        assert_eq!(s.iqr(), 2.0);
     }
 
     #[test]

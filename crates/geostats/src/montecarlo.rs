@@ -34,19 +34,6 @@ pub struct MonteCarloResult {
     pub non_converged: usize,
 }
 
-impl MonteCarloResult {
-    /// Median absolute deviation of parameter `p` from `truth`.
-    pub fn median_abs_error(&self, p: usize, truth: f64) -> f64 {
-        let mut devs: Vec<f64> = self
-            .estimates
-            .iter()
-            .map(|e| (e[p] - truth).abs())
-            .collect();
-        devs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        devs[devs.len() / 2]
-    }
-}
-
 /// Run the study: replica `r` uses seed `seed + r` for both its locations
 /// and its field, so different backends see *identical* datasets — the
 /// comparison across accuracy levels in Figs 5–6 is paired, as in the paper.

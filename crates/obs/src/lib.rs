@@ -8,8 +8,8 @@
 //!   store into a thread-local lock-free ring buffer (bounded memory,
 //!   drop-counted overflow); disabled, it is a single relaxed atomic load.
 //! * **Metrics** ([`metrics`]): always-on counters/gauges/histograms under
-//!   stable dotted names, superseding the scattered ad-hoc counters of
-//!   `ExecutionTrace` / `FactorStats` / `DistStats`.
+//!   stable dotted names, fed by the per-subsystem counters
+//!   (`WorkerStats` / `FactorStats` / `DistStats`) when a run finishes.
 //! * **Exporters** ([`chrome`], [`occupancy`], [`energy`]): Chrome
 //!   `trace_event` JSON (one track per worker, steal/park/wake instants),
 //!   flat JSONL, the Fig 9 occupancy timeline, and the Summit-model energy
@@ -63,10 +63,12 @@ pub fn now_ns() -> u64 {
 }
 
 /// Begin a span: returns the start timestamp, or 0 when tracing is off.
+/// A span begun on the very first clock read reports 1, not 0, so it is
+/// not mistaken for one begun with tracing off.
 #[inline]
 pub fn span_start() -> u64 {
     if enabled() {
-        now_ns()
+        now_ns().max(1)
     } else {
         0
     }
@@ -86,23 +88,6 @@ pub fn span_end(start_ns: u64, kind: EventKind, arg: u64) {
         arg,
         kind,
         track: 0, // replaced by the thread's track in emit_record
-    });
-}
-
-/// Emit a span whose timestamps the caller already measured on the
-/// [`now_ns`] clock (the scheduler reuses its existing per-task clock
-/// reads, so tracing adds only the ring store).
-#[inline]
-pub fn span_at(ts_ns: u64, dur_ns: u64, kind: EventKind, arg: u64) {
-    if !enabled() {
-        return;
-    }
-    emit_record(Record {
-        ts_ns,
-        dur_ns,
-        arg,
-        kind,
-        track: 0,
     });
 }
 

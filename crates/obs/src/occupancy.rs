@@ -20,12 +20,22 @@ pub struct OccupancyTimeline {
 }
 
 impl OccupancyTimeline {
-    /// Run-average occupancy across all workers.
+    /// Run-average occupancy across the tracks that ran a task.
     pub fn mean(&self) -> f64 {
         if self.aggregate.is_empty() {
             return 0.0;
         }
         self.aggregate.iter().sum::<f64>() / self.aggregate.len() as f64
+    }
+
+    /// Run-average occupancy of a run on `nworkers` workers: a worker that
+    /// ran no task has no track here and counts as idle throughout, where
+    /// [`mean`](Self::mean) would leave it out.
+    pub fn mean_over(&self, nworkers: usize) -> f64 {
+        if nworkers == 0 {
+            return 0.0;
+        }
+        self.mean() * self.tracks.len() as f64 / nworkers as f64
     }
 
     /// JSON object: `{"bins", "bin_ns", "mean", "aggregate", "workers"}`.
@@ -146,10 +156,24 @@ mod tests {
     }
 
     #[test]
+    fn idle_worker_counts_against_occupancy() {
+        // two workers, one of which runs every task
+        let t = TraceData {
+            records: vec![span(0, 0, 60), span(0, 60, 40)],
+            dropped: 0,
+        };
+        let o = occupancy_timeline(&t, 4);
+        assert!((o.mean() - 1.0).abs() < 1e-9);
+        assert!((o.mean_over(2) - 0.5).abs() < 1e-9, "{}", o.mean_over(2));
+        assert!((o.mean_over(1) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn empty_trace_is_empty_timeline() {
         let o = occupancy_timeline(&TraceData::default(), 8);
         assert!(o.tracks.is_empty());
         assert_eq!(o.mean(), 0.0);
+        assert_eq!(o.mean_over(2), 0.0);
     }
 
     #[test]

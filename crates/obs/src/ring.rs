@@ -109,7 +109,12 @@ struct WriterGuard(Arc<Ring>);
 
 impl Drop for WriterGuard {
     fn drop(&mut self) {
-        lock_registry().free.push(Arc::clone(&self.0));
+        let mut reg = lock_registry();
+        // A ring that `reset_rings` forgot while this thread lived is not
+        // pooled again: `collect` would never read what it records next.
+        if reg.all.iter().any(|r| Arc::ptr_eq(r, &self.0)) {
+            reg.free.push(Arc::clone(&self.0));
+        }
     }
 }
 
@@ -256,6 +261,30 @@ mod tests {
         assert_eq!(r.dropped(), 0);
         assert!(r.push(rec(9)));
         assert_eq!(r.snapshot()[0].ts_ns, 9);
+    }
+
+    #[test]
+    fn ring_forgotten_by_reset_is_not_reused() {
+        let _g = test_guard();
+        reset_rings();
+        let (emitted_tx, emitted_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            emit_record(rec(1));
+            emitted_tx.send(()).unwrap();
+            exit_rx.recv().unwrap();
+        });
+        emitted_rx.recv().unwrap();
+        // forget the holder's ring while its thread still lives, then let
+        // the thread exit: the next thread must get a registered ring
+        reset_rings();
+        exit_tx.send(()).unwrap();
+        holder.join().unwrap();
+        std::thread::spawn(|| emit_record(rec(2))).join().unwrap();
+        let t = collect();
+        assert_eq!(t.records.len(), 1);
+        assert_eq!(t.records[0].ts_ns, 2);
+        reset_rings();
     }
 
     #[test]

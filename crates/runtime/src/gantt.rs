@@ -16,8 +16,7 @@ fn track_label(track: u16) -> String {
 /// Render the span records as one row per track, `width` columns across
 /// the makespan. Each cell shows a digit of the task id (`arg % 10`) that
 /// occupied most of that slot (`·` = idle). Instants are skipped; build
-/// the input with [`obs::collect`] after a traced run or via
-/// [`ExecutionTrace::to_telemetry`](crate::ExecutionTrace::to_telemetry).
+/// the input with [`obs::collect`] after a traced run.
 pub fn render_gantt(trace: &obs::TraceData, width: usize) -> String {
     assert!(width > 0);
     let tracks = trace.tracks();
@@ -80,25 +79,27 @@ pub fn render_gantt_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{ExecutionTrace, TaskSpan};
+
+    fn span(task: u64, track: u16, a: u64, b: u64) -> obs::Record {
+        obs::Record {
+            ts_ns: a,
+            dur_ns: b - a,
+            arg: task,
+            kind: obs::EventKind::TaskExec,
+            track,
+        }
+    }
+
+    fn stream(records: Vec<obs::Record>) -> obs::TraceData {
+        obs::TraceData {
+            records,
+            dropped: 0,
+        }
+    }
 
     #[test]
     fn renders_rows_per_worker() {
-        let spans = vec![
-            TaskSpan {
-                task: 1,
-                worker: 0,
-                start_ns: 0,
-                end_ns: 50,
-            },
-            TaskSpan {
-                task: 2,
-                worker: 1,
-                start_ns: 25,
-                end_ns: 100,
-            },
-        ];
-        let t = ExecutionTrace::new(spans, 2).to_telemetry();
+        let t = stream(vec![span(1, 0, 0, 50), span(2, 1, 25, 100)]);
         let g = render_gantt(&t, 20);
         let lines: Vec<&str> = g.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -111,22 +112,13 @@ mod tests {
 
     #[test]
     fn empty_trace_renders_nothing() {
-        let t = ExecutionTrace::new(vec![], 1).to_telemetry();
+        let t = stream(vec![]);
         assert_eq!(render_gantt(&t, 8), "");
     }
 
     #[test]
     fn main_track_spans_get_a_labeled_row() {
-        let t = obs::TraceData {
-            records: vec![obs::Record {
-                ts_ns: 100,
-                dur_ns: 50,
-                arg: 3,
-                kind: obs::EventKind::TaskExec,
-                track: obs::MAIN_TRACK,
-            }],
-            dropped: 0,
-        };
+        let t = stream(vec![span(3, obs::MAIN_TRACK, 100, 150)]);
         let g = render_gantt(&t, 8);
         assert!(g.starts_with("main |3"), "{g}");
     }
@@ -135,32 +127,19 @@ mod tests {
     fn absolute_timestamps_are_normalized() {
         // spans far from t=0 still fill the full width
         let base = 5_000_000_000u64;
-        let spans = vec![TaskSpan {
-            task: 7,
-            worker: 0,
-            start_ns: base,
-            end_ns: base + 80,
-        }];
-        let t = ExecutionTrace::new(spans, 1).to_telemetry();
+        let t = stream(vec![span(7, 0, base, base + 80)]);
         let g = render_gantt(&t, 8);
         assert_eq!(g, "w0 |77777777|\n");
     }
 
     #[test]
     fn stats_footer_lists_counters() {
-        use crate::trace::WorkerStats;
-        let spans = vec![TaskSpan {
-            task: 0,
-            worker: 0,
-            start_ns: 0,
-            end_ns: 10,
-        }];
         let stats = vec![WorkerStats {
             tasks: 1,
             local_pops: 1,
             ..Default::default()
         }];
-        let t = ExecutionTrace::new(spans, 1).to_telemetry();
+        let t = stream(vec![span(0, 0, 0, 10)]);
         let g = render_gantt_with_stats(&t, &stats, 8);
         let lines: Vec<&str> = g.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -90,11 +90,6 @@ impl TaskGraph {
         &self.nodes[id]
     }
 
-    /// Overwrite one task's scheduling priority.
-    pub fn set_priority(&mut self, id: TaskId, priority: i64) {
-        self.nodes[id].priority = priority;
-    }
-
     /// Overwrite every task's priority (length must match).
     pub fn set_priorities(&mut self, priorities: &[i64]) {
         assert_eq!(priorities.len(), self.nodes.len());
@@ -256,8 +251,6 @@ mod tests {
         let mut g = TaskGraph::new();
         let a = g.add_task(vec![], 0);
         let b = g.add_task(vec![a], 0);
-        g.set_priority(a, 7);
-        assert_eq!(g.node(a).priority, 7);
         g.set_priorities(&[1, 2]);
         assert_eq!(g.node(a).priority, 1);
         assert_eq!(g.node(b).priority, 2);

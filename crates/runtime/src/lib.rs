@@ -9,9 +9,11 @@
 //! per-task affinity hints, and critical-path-derived priorities
 //! ([`graph::TaskGraph::critical_path_lengths`]) steering workers toward
 //! the longest remaining dependency chain first — the scheduling quality
-//! PaRSEC's runtime provides for tile Cholesky. [`trace`] records per-task
-//! begin/end intervals plus per-worker steal/idle/wake counters for
-//! occupancy and Gantt-style analysis (paper Figs 3, 9).
+//! PaRSEC's runtime provides for tile Cholesky. Each executed task leaves
+//! one `TaskExec` span in the `mixedp-obs` ring, from which occupancy and
+//! the [`gantt`] view are derived (paper Figs 3, 9); [`trace`] keeps the
+//! per-worker steal/idle/wake counters and failed attempts, and validates
+//! a run's span stream against its graph.
 
 pub mod fault;
 pub mod gantt;
@@ -23,7 +25,7 @@ pub use fault::{Corruption, FaultPlan, RetryPolicy, TaskFailure, WireFault};
 pub use gantt::{render_gantt, render_gantt_with_stats};
 pub use graph::{TaskGraph, TaskId};
 pub use scheduler::{
-    execute_parallel, execute_parallel_ctx, execute_parallel_ctx_opts, execute_serial,
-    execute_serial_ctx, execute_serial_ctx_opts, ExecOptions, ExecuteError,
+    execute_parallel, execute_parallel_ctx_opts, execute_serial, execute_serial_ctx,
+    execute_serial_ctx_opts, ExecOptions, ExecuteError,
 };
-pub use trace::{ExecutionTrace, TaskSpan, WorkerStats};
+pub use trace::{validate_task_spans, ExecutionTrace, WorkerStats};

@@ -41,24 +41,34 @@
 //!   [`TaskGraph::critical_path_lengths`] — the task unlocking the
 //!   longest remaining chain runs first.
 //!
-//! Workers can carry a per-worker mutable *context* (`execute_parallel_ctx`
-//! / `execute_serial_ctx`): the scheduler constructs one context per worker
-//! before the run and hands it mutably to every task that worker executes.
-//! This is how the kernel layer keeps reusable scratch workspaces — each
-//! worker owns its buffers for the whole factorization, so the steady state
-//! performs no heap allocation at all (see `mixedp_kernels::workspace`).
+//! Workers can carry a per-worker mutable *context*
+//! ([`execute_parallel_ctx_opts`] / [`execute_serial_ctx_opts`]): the
+//! scheduler constructs one context per worker before the run and hands it
+//! mutably to every task that worker executes. This is how the kernel layer
+//! keeps reusable scratch workspaces — each worker owns its buffers for the
+//! whole factorization, so the steady state performs no heap allocation at
+//! all (see `mixedp_kernels::workspace`).
 //!
-//! [`execute_serial_ctx`] remains the deterministic single-threaded oracle:
-//! strict priority order, bit-exact run to run.
+//! [`execute_serial_ctx_opts`] remains the deterministic single-threaded
+//! oracle: strict priority order, bit-exact run to run.
+//!
+//! # Telemetry
+//!
+//! Both executors time a task with one `obs::span_start`/`span_end` pair
+//! around all of its attempts, so every executed task leaves exactly one
+//! `TaskExec` span in the `mixedp-obs` ring, and with tracing off a task
+//! costs no clock read. The span closes before the task's dependents are
+//! released, which is what lets [`crate::validate_task_spans`] check
+//! dependency order on the span stream.
 
 use crate::fault::{FaultPlan, RetryPolicy, TaskFailure};
 use crate::graph::{TaskGraph, TaskId};
-use crate::trace::{ExecutionTrace, TaskSpan, WorkerStats};
+use crate::trace::{ExecutionTrace, WorkerStats};
 use mixedp_obs as obs;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Execution failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,6 +121,51 @@ fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "panic with non-string payload".to_string()
+    }
+}
+
+/// Run task `id` under the retry policy and fault plan of `opts`. Every
+/// failed attempt is appended to `failures`; once the budget is exhausted
+/// the last failure is returned.
+///
+/// Injected panics fire *before* the task body, so a retried injection
+/// re-runs the body on clean inputs. A genuine kernel panic mid-write may
+/// leave its output partially updated; retry is then best-effort
+/// (idempotent task bodies retry exactly).
+fn run_with_retries(
+    id: TaskId,
+    opts: &ExecOptions,
+    failures: &mut Vec<TaskFailure>,
+    mut body: impl FnMut(),
+) -> Result<(), TaskFailure> {
+    let mut attempt = 0u32;
+    loop {
+        attempt += 1;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if !opts.faults.is_noop() && opts.faults.inject_panic(id as u64, attempt) {
+                panic!(
+                    "injected fault (plan seed {}, task {id}, attempt {attempt})",
+                    opts.faults.seed()
+                );
+            }
+            body()
+        }));
+        let Err(payload) = outcome else {
+            return Ok(());
+        };
+        let failure = TaskFailure {
+            task: id,
+            attempt,
+            cause: panic_cause(payload),
+        };
+        failures.push(failure.clone());
+        if attempt >= opts.retry.max_attempts {
+            return Err(failure);
+        }
+        let back = opts.retry.backoff_ns(&opts.faults, id as u64, attempt);
+        if back > 0 {
+            std::thread::sleep(Duration::from_nanos(back));
+        }
     }
 }
 
@@ -273,27 +328,12 @@ impl SharedState<'_> {
 ///
 /// `run(ctx, task)` performs the work; it must synchronize its own data
 /// access (the DAG guarantees a task's dependencies have completed before
-/// it starts). Returns a trace of task spans — with per-worker
-/// steal/idle/wake counters — for occupancy/Gantt analysis.
-pub fn execute_parallel_ctx<C: Send>(
-    graph: &TaskGraph,
-    nthreads: usize,
-    mk_ctx: impl Fn(usize) -> C + Sync,
-    run: impl Fn(&mut C, TaskId) + Sync,
-) -> Result<ExecutionTrace, ExecuteError> {
-    execute_parallel_ctx_opts(graph, nthreads, mk_ctx, run, &ExecOptions::default())
-}
-
-/// [`execute_parallel_ctx`] with explicit execution options: the bounded
-/// per-task retry policy (a panicking task is re-executed up to
-/// `retry.max_attempts` times before the run fails with a structured
-/// [`ExecuteError::TaskFailed`]) and a deterministic [`FaultPlan`] for
-/// replayable failure injection.
-///
-/// Retry semantics: injected panics fire *before* the task body, so a
-/// retried injection re-runs the body on clean inputs. A genuine kernel
-/// panic mid-write may leave its output partially updated; retry is then
-/// best-effort (idempotent task bodies retry exactly).
+/// it starts). A panicking task is re-executed up to
+/// `opts.retry.max_attempts` times before the run fails with a structured
+/// [`ExecuteError::TaskFailed`]; `opts.faults` is a deterministic
+/// [`FaultPlan`] for replayable failure injection. Returns the per-worker
+/// steal/idle/wake counters and the failed attempts; task timings go to the
+/// `mixedp-obs` span stream.
 pub fn execute_parallel_ctx_opts<C: Send>(
     graph: &TaskGraph,
     nthreads: usize,
@@ -304,7 +344,10 @@ pub fn execute_parallel_ctx_opts<C: Send>(
     assert!(nthreads > 0);
     let n = graph.len();
     if n == 0 {
-        return Ok(ExecutionTrace::new(Vec::new(), 0));
+        return Ok(ExecutionTrace::new(
+            vec![WorkerStats::default(); nthreads],
+            Vec::new(),
+        ));
     }
     let dependents = graph.dependents();
     let dep_counts: Vec<AtomicUsize> = graph
@@ -346,20 +389,9 @@ pub fn execute_parallel_ctx_opts<C: Send>(
         fatal: Mutex::new(None),
     };
 
-    let t0 = Instant::now();
-    // Telemetry epoch of this run: obs records carry absolute timestamps
-    // (`run_epoch_ns + t0-relative`), reusing the per-task clock reads the
-    // trace already pays — tracing-on adds only the ring store per task.
-    let run_epoch_ns = obs::now_ns();
-    type WorkerResult = (Vec<TaskSpan>, WorkerStats, Vec<TaskFailure>);
-    let results: Vec<Mutex<WorkerResult>> = (0..nthreads)
-        .map(|_| Mutex::new((Vec::new(), WorkerStats::default(), Vec::new())))
-        .collect();
-
     let state = &state;
     let dependents = &dependents;
     let dep_counts = &dep_counts;
-    let results = &results;
     let mk_ctx = &mk_ctx;
     let run = &run;
 
@@ -367,7 +399,6 @@ pub fn execute_parallel_ctx_opts<C: Send>(
         obs::set_thread_track(wid as u16);
         let mut ctx = mk_ctx(wid);
         let mut stats = WorkerStats::default();
-        let mut my_spans: Vec<TaskSpan> = Vec::new();
         let mut my_failures: Vec<TaskFailure> = Vec::new();
         let nw = state.nworkers();
         // Private batch of stolen tasks, worst-priority first so the best
@@ -495,58 +526,22 @@ pub fn execute_parallel_ctx_opts<C: Send>(
             // worker drains and exits. Once poisoned, task bodies are
             // skipped entirely (fast-fail) — only the bookkeeping below
             // still runs.
-            let start = t0.elapsed().as_nanos() as u64;
             if !state.poisoned.load(Ordering::Acquire) {
-                let mut attempt = 0u32;
-                loop {
-                    attempt += 1;
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if !opts.faults.is_noop() && opts.faults.inject_panic(id as u64, attempt) {
-                            panic!(
-                                "injected fault (plan seed {}, task {id}, attempt {attempt})",
-                                opts.faults.seed()
-                            );
-                        }
-                        run(&mut ctx, id)
-                    }));
-                    let payload = match outcome {
-                        Ok(()) => break,
-                        Err(p) => p,
-                    };
-                    let failure = TaskFailure {
-                        task: id,
-                        attempt,
-                        cause: panic_cause(payload),
-                    };
-                    my_failures.push(failure.clone());
-                    if attempt >= opts.retry.max_attempts {
-                        let mut fatal = lock_pt(&state.fatal);
-                        if fatal.is_none() {
-                            *fatal = Some(failure);
-                        }
-                        drop(fatal);
-                        state.poisoned.store(true, Ordering::Release);
-                        break;
+                let sp = obs::span_start();
+                let failed_before = my_failures.len();
+                let outcome = run_with_retries(id, opts, &mut my_failures, || run(&mut ctx, id));
+                obs::span_end(sp, obs::EventKind::TaskExec, id as u64);
+                // every failed attempt but a fatal last one was retried
+                stats.retries +=
+                    (my_failures.len() - failed_before) as u64 - outcome.is_err() as u64;
+                if let Err(failure) = outcome {
+                    let mut fatal = lock_pt(&state.fatal);
+                    if fatal.is_none() {
+                        *fatal = Some(failure);
                     }
-                    stats.retries += 1;
-                    let back = opts.retry.backoff_ns(&opts.faults, id as u64, attempt);
-                    if back > 0 {
-                        std::thread::sleep(Duration::from_nanos(back));
-                    }
+                    drop(fatal);
+                    state.poisoned.store(true, Ordering::Release);
                 }
-                let end = t0.elapsed().as_nanos() as u64;
-                my_spans.push(TaskSpan {
-                    task: id,
-                    worker: wid,
-                    start_ns: start,
-                    end_ns: end,
-                });
-                obs::span_at(
-                    run_epoch_ns + start,
-                    end - start,
-                    obs::EventKind::TaskExec,
-                    id as u64,
-                );
             }
             stats.tasks += 1;
             state.executed_by[id].store(wid, Ordering::Release);
@@ -597,85 +592,55 @@ pub fn execute_parallel_ctx_opts<C: Send>(
                 state.wake_all();
             }
         }
-
-        let mut slot = lock_pt(&results[wid]);
-        slot.0.append(&mut my_spans);
-        slot.1 = stats;
-        slot.2.append(&mut my_failures);
+        (stats, my_failures)
     };
 
-    let scope_panicked = std::thread::scope(|s| {
+    let joined: Result<Vec<_>, _> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..nthreads).map(|w| s.spawn(move || worker(w))).collect();
-        handles.into_iter().any(|h| h.join().is_err())
+        handles.into_iter().map(|h| h.join()).collect()
     });
-
-    if scope_panicked {
+    let Ok(results) = joined else {
         return Err(ExecuteError::WorkerPanicked);
-    }
+    };
     if let Some(f) = lock_pt(&state.fatal).take() {
         return Err(ExecuteError::TaskFailed(f));
     }
     if state.poisoned.load(Ordering::Acquire) {
         return Err(ExecuteError::WorkerPanicked);
     }
-    let mut all: Vec<TaskSpan> = Vec::with_capacity(n);
-    let mut stats: Vec<WorkerStats> = Vec::with_capacity(nthreads);
-    let mut failures: Vec<TaskFailure> = Vec::new();
-    for m in results {
-        let mut slot = lock_pt(m);
-        all.append(&mut slot.0);
-        stats.push(slot.1);
-        failures.append(&mut slot.2);
-    }
-    all.sort_by_key(|s| s.start_ns);
-    Ok(ExecutionTrace::with_worker_stats(all, nthreads, stats).with_failures(failures))
+    let (stats, failures): (Vec<WorkerStats>, Vec<Vec<TaskFailure>>) = results.into_iter().unzip();
+    Ok(ExecutionTrace::new(stats, failures.concat()))
 }
 
-/// Execute every task of `graph` on `nthreads` workers (context-free form).
+/// Execute every task of `graph` on `nthreads` workers (context-free form,
+/// default [`ExecOptions`]).
 pub fn execute_parallel(
     graph: &TaskGraph,
     nthreads: usize,
     run: impl Fn(TaskId) + Sync,
 ) -> Result<ExecutionTrace, ExecuteError> {
-    execute_parallel_ctx(graph, nthreads, |_| (), |(), id| run(id))
+    execute_parallel_ctx_opts(
+        graph,
+        nthreads,
+        |_| (),
+        |(), id| run(id),
+        &ExecOptions::default(),
+    )
 }
 
 /// Deterministic single-threaded execution in priority order with a caller
-/// supplied mutable context — the reference semantics for tests.
+/// supplied mutable context, under default [`ExecOptions`] — the reference
+/// semantics for tests. A task that exhausts its retries panics with its
+/// [`TaskFailure`].
 pub fn execute_serial_ctx<C>(
     graph: &TaskGraph,
     ctx: &mut C,
-    mut run: impl FnMut(&mut C, TaskId),
+    run: impl FnMut(&mut C, TaskId),
 ) -> Vec<TaskId> {
-    let n = graph.len();
-    let dependents = graph.dependents();
-    let mut counts = graph.dep_counts();
-    let mut heap: BinaryHeap<Ready> = graph
-        .iter()
-        .filter(|(_, node)| node.deps.is_empty())
-        .map(|(id, node)| Ready {
-            priority: node.priority,
-            id,
-        })
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(r) = heap.pop() {
-        let sp = obs::span_start();
-        run(ctx, r.id);
-        obs::span_end(sp, obs::EventKind::TaskExec, r.id as u64);
-        order.push(r.id);
-        for &dep in &dependents[r.id] {
-            counts[dep] -= 1;
-            if counts[dep] == 0 {
-                heap.push(Ready {
-                    priority: graph.node(dep).priority,
-                    id: dep,
-                });
-            }
-        }
+    match execute_serial_ctx_opts(graph, ctx, run, &ExecOptions::default()) {
+        Ok((order, _)) => order,
+        Err(e) => panic!("{e}"),
     }
-    assert_eq!(order.len(), n, "graph had unreachable tasks (cycle?)");
-    order
 }
 
 /// Deterministic single-threaded execution in priority order.
@@ -683,11 +648,11 @@ pub fn execute_serial(graph: &TaskGraph, mut run: impl FnMut(TaskId)) -> Vec<Tas
     execute_serial_ctx(graph, &mut (), |(), id| run(id))
 }
 
-/// [`execute_serial_ctx`] under an [`ExecOptions`] fault/retry policy —
-/// the single-threaded oracle for fault-injected runs. Returns the
-/// execution order together with every failed attempt (recovered or not);
-/// a task that exhausts its retry budget fails the run with
-/// [`ExecuteError::TaskFailed`].
+/// Single-threaded execution in strict priority order under an
+/// [`ExecOptions`] fault/retry policy — the oracle for every parallel run,
+/// fault-injected or not. Returns the execution order together with every
+/// failed attempt (recovered or not); a task that exhausts its retry budget
+/// fails the run with [`ExecuteError::TaskFailed`].
 pub fn execute_serial_ctx_opts<C>(
     graph: &TaskGraph,
     ctx: &mut C,
@@ -707,36 +672,11 @@ pub fn execute_serial_ctx_opts<C>(
         .collect();
     let mut order = Vec::with_capacity(n);
     let mut failures: Vec<TaskFailure> = Vec::new();
-    while let Some(r) = heap.pop() {
-        let id = r.id;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let sp = obs::span_start();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if !opts.faults.is_noop() && opts.faults.inject_panic(id as u64, attempt) {
-                    panic!(
-                        "injected fault (plan seed {}, task {id}, attempt {attempt})",
-                        opts.faults.seed()
-                    );
-                }
-                run(ctx, id)
-            }));
-            obs::span_end(sp, obs::EventKind::TaskExec, id as u64);
-            let payload = match outcome {
-                Ok(()) => break,
-                Err(p) => p,
-            };
-            let failure = TaskFailure {
-                task: id,
-                attempt,
-                cause: panic_cause(payload),
-            };
-            failures.push(failure.clone());
-            if attempt >= opts.retry.max_attempts {
-                return Err(ExecuteError::TaskFailed(failure));
-            }
-        }
+    while let Some(Ready { id, .. }) = heap.pop() {
+        let sp = obs::span_start();
+        let outcome = run_with_retries(id, opts, &mut failures, || run(ctx, id));
+        obs::span_end(sp, obs::EventKind::TaskExec, id as u64);
+        outcome.map_err(ExecuteError::TaskFailed)?;
         order.push(id);
         for &dep in &dependents[id] {
             counts[dep] -= 1;
@@ -800,7 +740,6 @@ mod tests {
         })
         .unwrap();
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(trace.spans().len(), g.len());
         // counters are populated and consistent
         let tot = trace.total_stats();
         assert_eq!(tot.tasks, g.len() as u64);
@@ -827,7 +766,7 @@ mod tests {
     #[test]
     fn parallel_uses_multiple_workers() {
         // independent tasks with a small spin: more than one worker should
-        // record spans
+        // run some of them
         let mut g = TaskGraph::new();
         for _ in 0..64 {
             g.add_task(vec![], 0);
@@ -840,16 +779,16 @@ mod tests {
             std::hint::black_box(acc);
         })
         .unwrap();
-        let workers: std::collections::HashSet<_> =
-            trace.spans().iter().map(|s| s.worker).collect();
-        assert!(workers.len() > 1, "only {workers:?}");
+        let busy = trace.worker_stats().iter().filter(|s| s.tasks > 0).count();
+        assert!(busy > 1, "only {busy} worker(s) ran tasks");
     }
 
     #[test]
     fn empty_graph_ok() {
         let g = TaskGraph::new();
         let t = execute_parallel(&g, 2, |_| {}).unwrap();
-        assert!(t.spans().is_empty());
+        assert_eq!(t.total_stats().tasks, 0);
+        assert_eq!(t.worker_stats().len(), 2);
         assert!(execute_serial(&g, |_| {}).is_empty());
     }
 
@@ -1048,22 +987,29 @@ mod tests {
                 })
                 .collect();
         }
-        let trace = execute_parallel(&g, nchains, |_| {
-            // a touch of work so chains overlap in time
-            let mut acc = 0u64;
-            for i in 0..5_000u64 {
-                acc ^= std::hint::black_box(i).wrapping_mul(0x9E3779B9);
-            }
-            std::hint::black_box(acc);
-        })
+        // the per-worker context is the worker id: each task records who
+        // ran it
+        let ran_on: Vec<AtomicUsize> = (0..g.len()).map(|_| AtomicUsize::new(NO_WORKER)).collect();
+        execute_parallel_ctx_opts(
+            &g,
+            nchains,
+            |wid| wid,
+            |&mut wid, id| {
+                ran_on[id].store(wid, Ordering::Relaxed);
+                // a touch of work so chains overlap in time
+                let mut acc = 0u64;
+                for i in 0..5_000u64 {
+                    acc ^= std::hint::black_box(i).wrapping_mul(0x9E3779B9);
+                }
+                std::hint::black_box(acc);
+            },
+            &ExecOptions::default(),
+        )
         .unwrap();
         // Count migrations: consecutive tasks of one chain on different
         // workers. Affinity dispatch should keep these rare (steals can
         // still move work; that's the design, not a bug).
-        let mut worker_of = vec![usize::MAX; g.len()];
-        for s in trace.spans() {
-            worker_of[s.task] = s.worker;
-        }
+        let worker_of: Vec<usize> = ran_on.iter().map(|w| w.load(Ordering::Relaxed)).collect();
         let mut migrations = 0usize;
         let mut pairs = 0usize;
         for (id, node) in g.iter() {
@@ -1088,11 +1034,10 @@ mod tests {
         for _ in 0..64 {
             g.add_task(vec![], 0);
         }
+        // Contexts are dropped inside the workers, so each reports its count
+        // to an observable sink on drop.
         let totals: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
-        execute_parallel_ctx(&g, 4, |wid| (wid, 0u64), |ctx, _id| ctx.1 += 1).unwrap();
-        // Contexts are dropped inside the workers; re-run with an observable
-        // sink to check the counts actually accumulate.
-        execute_parallel_ctx(
+        execute_parallel_ctx_opts(
             &g,
             4,
             |wid| DropCounter {
@@ -1101,6 +1046,7 @@ mod tests {
                 sink: &totals,
             },
             |ctx, _id| ctx.count += 1,
+            &ExecOptions::default(),
         )
         .unwrap();
         let sum: u64 = totals.iter().map(|t| t.load(Ordering::Relaxed)).sum();

@@ -1,23 +1,10 @@
-//! Execution traces: per-task spans for occupancy and Gantt analysis.
+//! Execution traces: per-worker scheduler counters and failed attempts.
+//! Task timings live in the `mixedp-obs` span stream only;
+//! [`validate_task_spans`] checks that stream against the executed graph.
 
 use crate::fault::TaskFailure;
-use crate::graph::TaskId;
+use crate::graph::{TaskGraph, TaskId};
 use mixedp_obs as obs;
-
-/// One executed task: which worker ran it and when (ns since run start).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskSpan {
-    pub task: TaskId,
-    pub worker: usize,
-    pub start_ns: u64,
-    pub end_ns: u64,
-}
-
-impl TaskSpan {
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns - self.start_ns
-    }
-}
 
 /// Per-worker scheduler counters: where each worker's tasks came from and
 /// how often it went idle — the observability layer for the work-stealing
@@ -83,47 +70,24 @@ impl WorkerStats {
     }
 }
 
-/// The full trace of a parallel execution.
+/// What a parallel execution leaves behind besides its task spans: the
+/// per-worker scheduler counters and every failed task attempt.
 #[derive(Debug, Clone)]
 pub struct ExecutionTrace {
-    spans: Vec<TaskSpan>,
-    nworkers: usize,
     worker_stats: Vec<WorkerStats>,
     failures: Vec<TaskFailure>,
 }
 
 impl ExecutionTrace {
-    pub fn new(spans: Vec<TaskSpan>, nworkers: usize) -> Self {
-        ExecutionTrace {
-            spans,
-            nworkers,
-            worker_stats: Vec::new(),
-            failures: Vec::new(),
-        }
-    }
-
-    /// Trace plus the per-worker scheduler counters recorded during the run.
-    pub fn with_worker_stats(
-        spans: Vec<TaskSpan>,
-        nworkers: usize,
-        worker_stats: Vec<WorkerStats>,
-    ) -> Self {
-        assert!(worker_stats.is_empty() || worker_stats.len() == nworkers);
-        ExecutionTrace {
-            spans,
-            nworkers,
-            worker_stats,
-            failures: Vec::new(),
-        }
-    }
-
-    /// Attach the failed-attempt records of the run (sorted by task id so
-    /// the log is schedule-independent). On a successful run these are the
-    /// faults that retries recovered from.
-    pub fn with_failures(mut self, mut failures: Vec<TaskFailure>) -> Self {
+    /// One counter set per worker, plus the failed-attempt records of the
+    /// run (sorted by task id so the log is schedule-independent). On a
+    /// successful run these are the faults that retries recovered from.
+    pub fn new(worker_stats: Vec<WorkerStats>, mut failures: Vec<TaskFailure>) -> Self {
         failures.sort_by_key(|f| (f.task, f.attempt));
-        self.failures = failures;
-        self
+        ExecutionTrace {
+            worker_stats,
+            failures,
+        }
     }
 
     /// Every failed task attempt observed during the run, including the
@@ -132,16 +96,7 @@ impl ExecutionTrace {
         &self.failures
     }
 
-    pub fn spans(&self) -> &[TaskSpan] {
-        &self.spans
-    }
-
-    pub fn nworkers(&self) -> usize {
-        self.nworkers
-    }
-
-    /// Per-worker scheduler counters (empty for traces built without them,
-    /// e.g. hand-assembled test traces).
+    /// Per-worker scheduler counters, one entry per worker.
     pub fn worker_stats(&self) -> &[WorkerStats] {
         &self.worker_stats
     }
@@ -154,107 +109,84 @@ impl ExecutionTrace {
         }
         t
     }
+}
 
-    /// Wall-clock makespan in nanoseconds.
-    pub fn makespan_ns(&self) -> u64 {
-        self.spans.iter().map(|s| s.end_ns).max().unwrap_or(0)
+/// Check the `TaskExec` span stream of one traced execution of `graph`:
+///
+/// * no record was dropped on ring overflow;
+/// * every task emitted exactly one `TaskExec` span, whose `arg` is its id;
+/// * spans on one track never overlap (a track is one executing thread: a
+///   scheduler worker, or the caller's thread for the serial executor);
+/// * no span starts before the spans of its dependencies end. Both
+///   executors close a task's span before releasing its dependents, and
+///   all tracks share one monotonic clock, so this holds on any schedule.
+///
+/// Records of other kinds are ignored; the stream must not hold the task
+/// spans of a second run.
+pub fn validate_task_spans(graph: &TaskGraph, trace: &obs::TraceData) -> Result<(), String> {
+    if trace.dropped != 0 {
+        return Err(format!(
+            "{} records dropped on ring overflow",
+            trace.dropped
+        ));
     }
-
-    /// Total busy time across workers.
-    pub fn busy_ns(&self) -> u64 {
-        self.spans.iter().map(TaskSpan::duration_ns).sum()
-    }
-
-    /// Average worker occupancy in `[0, 1]`: busy time over
-    /// `makespan × workers`.
-    pub fn occupancy(&self) -> f64 {
-        let span = self.makespan_ns();
-        if span == 0 || self.nworkers == 0 {
-            return 0.0;
-        }
-        self.busy_ns() as f64 / (span as f64 * self.nworkers as f64)
-    }
-
-    /// Re-express the trace as a telemetry record stream: one `TaskExec`
-    /// span per task on the worker's track, sorted by start time. Bridges
-    /// traces collected without live tracing (or hand-built in tests) into
-    /// the exporters (`chrome_trace_json`, `occupancy_timeline`, Gantt).
-    pub fn to_telemetry(&self) -> obs::TraceData {
-        let mut records: Vec<obs::Record> = self
-            .spans
-            .iter()
-            .map(|s| obs::Record {
-                ts_ns: s.start_ns,
-                dur_ns: s.duration_ns(),
-                arg: s.task as u64,
-                kind: obs::EventKind::TaskExec,
-                track: s.worker as u16,
-            })
-            .collect();
-        records.sort_by_key(|r| (r.ts_ns, r.track));
-        obs::TraceData {
-            records,
-            dropped: 0,
+    let n = graph.len();
+    let mut spans: Vec<&obs::Record> = trace
+        .records
+        .iter()
+        .filter(|r| r.kind == obs::EventKind::TaskExec)
+        .collect();
+    let mut span_of: Vec<Option<&obs::Record>> = vec![None; n];
+    for &r in &spans {
+        let id = r.arg as usize;
+        let slot = span_of
+            .get_mut(id)
+            .ok_or_else(|| format!("span names task {id}, graph has {n} tasks"))?;
+        if slot.replace(r).is_some() {
+            return Err(format!("task {id} emitted more than one span"));
         }
     }
-
-    /// Publish the run's scheduler counters to the metrics registry
-    /// (`scheduler.*` totals across all workers).
-    pub fn publish_metrics(&self) {
-        self.total_stats().publish_metrics();
+    let end = |r: &obs::Record| r.ts_ns + r.dur_ns;
+    spans.sort_by_key(|r| (r.track, r.ts_ns));
+    for w in spans.windows(2) {
+        // `<` lets zero-length spans share a timestamp on coarse clocks
+        if w[0].track == w[1].track && w[1].ts_ns < end(w[0]) {
+            return Err(format!(
+                "task {} starts at {} inside task {} (ending {}) on track {}",
+                w[1].arg,
+                w[1].ts_ns,
+                w[0].arg,
+                end(w[0]),
+                w[0].track
+            ));
+        }
     }
-
-    /// Occupancy sampled over `bins` equal intervals: fraction of worker
-    /// time busy within each interval (the shape of paper Fig 9).
-    pub fn occupancy_series(&self, bins: usize) -> Vec<f64> {
-        assert!(bins > 0);
-        let span = self.makespan_ns().max(1);
-        let w = span as f64 / bins as f64;
-        let mut busy = vec![0.0f64; bins];
-        for s in &self.spans {
-            let (a, b) = (s.start_ns as f64, s.end_ns as f64);
-            let first = ((a / w) as usize).min(bins - 1);
-            let last = ((b / w) as usize).min(bins - 1);
-            for (bin, slot) in busy.iter_mut().enumerate().take(last + 1).skip(first) {
-                let lo = bin as f64 * w;
-                let hi = lo + w;
-                let overlap = (b.min(hi) - a.max(lo)).max(0.0);
-                *slot += overlap;
+    let span = |id: TaskId| span_of[id].ok_or_else(|| format!("task {id} emitted no span"));
+    for (id, node) in graph.iter() {
+        let s = span(id)?;
+        for &d in &node.deps {
+            let dep = span(d)?;
+            if s.ts_ns < end(dep) {
+                return Err(format!(
+                    "task {id} starts at {} before its dependency {d} ends at {}",
+                    s.ts_ns,
+                    end(dep)
+                ));
             }
         }
-        busy.iter()
-            .map(|&t| (t / (w * self.nworkers.max(1) as f64)).min(1.0))
-            .collect()
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn span(task: usize, worker: usize, a: u64, b: u64) -> TaskSpan {
-        TaskSpan {
-            task,
-            worker,
-            start_ns: a,
-            end_ns: b,
-        }
-    }
-
-    #[test]
-    fn makespan_and_busy() {
-        let t = ExecutionTrace::new(vec![span(0, 0, 0, 10), span(1, 1, 5, 20)], 2);
-        assert_eq!(t.makespan_ns(), 20);
-        assert_eq!(t.busy_ns(), 25);
-        assert!((t.occupancy() - 25.0 / 40.0).abs() < 1e-12);
-    }
-
     #[test]
     fn empty_trace() {
-        let t = ExecutionTrace::new(vec![], 4);
-        assert_eq!(t.makespan_ns(), 0);
-        assert_eq!(t.occupancy(), 0.0);
+        let t = ExecutionTrace::new(vec![], vec![]);
         assert!(t.worker_stats().is_empty());
+        assert!(t.failures().is_empty());
         assert_eq!(t.total_stats(), WorkerStats::default());
     }
 
@@ -276,7 +208,7 @@ mod tests {
             stolen_tasks: 1,
             ..Default::default()
         };
-        let t = ExecutionTrace::with_worker_stats(vec![], 2, vec![a, b]);
+        let t = ExecutionTrace::new(vec![a, b], vec![]);
         let tot = t.total_stats();
         assert_eq!(tot.tasks, 4);
         assert_eq!(tot.stolen_tasks, 2);
@@ -287,41 +219,95 @@ mod tests {
 
     #[test]
     fn failures_attach_sorted() {
-        use crate::fault::TaskFailure;
-        let t = ExecutionTrace::new(vec![], 1).with_failures(vec![
-            TaskFailure {
-                task: 9,
-                attempt: 1,
-                cause: "b".into(),
-            },
-            TaskFailure {
-                task: 2,
-                attempt: 2,
-                cause: "a".into(),
-            },
-        ]);
+        let t = ExecutionTrace::new(
+            vec![WorkerStats::default()],
+            vec![
+                TaskFailure {
+                    task: 9,
+                    attempt: 1,
+                    cause: "b".into(),
+                },
+                TaskFailure {
+                    task: 2,
+                    attempt: 2,
+                    cause: "a".into(),
+                },
+            ],
+        );
         assert_eq!(t.failures().len(), 2);
         assert_eq!(t.failures()[0].task, 2);
         assert_eq!(t.failures()[1].task, 9);
     }
 
-    #[test]
-    fn occupancy_series_full_when_saturated() {
-        // both workers busy the whole time
-        let t = ExecutionTrace::new(vec![span(0, 0, 0, 100), span(1, 1, 0, 100)], 2);
-        let s = t.occupancy_series(4);
-        assert_eq!(s.len(), 4);
-        for v in s {
-            assert!((v - 1.0).abs() < 1e-9, "{v}");
+    fn span(task: u64, track: u16, a: u64, b: u64) -> obs::Record {
+        obs::Record {
+            ts_ns: a,
+            dur_ns: b - a,
+            arg: task,
+            kind: obs::EventKind::TaskExec,
+            track,
         }
     }
 
+    fn stream(records: Vec<obs::Record>) -> obs::TraceData {
+        obs::TraceData {
+            records,
+            dropped: 0,
+        }
+    }
+
+    /// a → {b, c}: b and c may run side by side once a has ended.
+    fn fork() -> TaskGraph {
+        let mut g = TaskGraph::new();
+        let a = g.add_task(vec![], 0);
+        g.add_task(vec![a], 0);
+        g.add_task(vec![a], 0);
+        g
+    }
+
     #[test]
-    fn occupancy_series_tail_idle() {
-        // one worker; busy the first half, then only a sliver at the end
-        let t = ExecutionTrace::new(vec![span(0, 0, 0, 50), span(1, 0, 99, 100)], 1);
-        let s = t.occupancy_series(2);
-        assert!((s[0] - 1.0).abs() < 0.03, "{s:?}");
-        assert!(s[1] < 0.05, "{s:?}");
+    fn valid_span_stream_passes() {
+        let t = stream(vec![
+            span(0, 0, 0, 10),
+            span(1, 0, 10, 20),
+            span(2, 1, 12, 30),
+        ]);
+        assert_eq!(validate_task_spans(&fork(), &t), Ok(()));
+    }
+
+    #[test]
+    fn validator_rejects_each_broken_invariant() {
+        let g = fork();
+        let check = |records| validate_task_spans(&g, &stream(records)).unwrap_err();
+        let e = check(vec![span(0, 0, 0, 10), span(1, 0, 10, 20)]);
+        assert!(e.contains("task 2 emitted no span"), "{e}");
+        let e = check(vec![
+            span(0, 0, 0, 10),
+            span(1, 0, 10, 20),
+            span(2, 1, 12, 30),
+            span(2, 1, 30, 31),
+        ]);
+        assert!(e.contains("more than one span"), "{e}");
+        let e = check(vec![
+            span(0, 0, 0, 10),
+            span(1, 1, 10, 20),
+            span(2, 1, 15, 30),
+        ]);
+        assert!(e.contains("on track 1"), "{e}");
+        let e = check(vec![
+            span(0, 0, 0, 10),
+            span(1, 0, 10, 20),
+            span(2, 1, 9, 30),
+        ]);
+        assert!(e.contains("before its dependency 0"), "{e}");
+        let e = check(vec![span(5, 0, 0, 1)]);
+        assert!(e.contains("graph has 3 tasks"), "{e}");
+        let mut t = stream(vec![
+            span(0, 0, 0, 10),
+            span(1, 0, 10, 20),
+            span(2, 1, 12, 30),
+        ]);
+        t.dropped = 1;
+        assert!(validate_task_spans(&g, &t).unwrap_err().contains("dropped"));
     }
 }

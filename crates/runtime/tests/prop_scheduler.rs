@@ -129,7 +129,6 @@ fn check_execution(graph: &TaskGraph, workers: usize) {
     for (id, r) in runs.iter().enumerate() {
         assert_eq!(r.load(Ordering::Relaxed), 1, "task {id} ran {r:?} times");
     }
-    assert_eq!(trace.spans().len(), n, "trace must cover every task");
     assert_eq!(trace.total_stats().tasks as usize, n);
     assert_eq!(trace.worker_stats().len(), workers);
 }

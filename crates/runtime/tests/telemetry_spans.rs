@@ -1,23 +1,27 @@
-//! Telemetry span-stream property tests: randomized DAGs executed over
-//! 1–16 workers with tracing on, asserting the invariants the exporters
-//! rely on:
+//! Telemetry span-stream property tests: randomized DAGs executed serially
+//! and over 1–16 workers with tracing on. [`validate_task_spans`] checks
+//! the invariants the exporters rely on:
 //!
 //! 1. **exactly-once** — every task produces exactly one `TaskExec` span
-//!    carrying its task id;
-//! 2. **per-track ordering** — spans on one worker track never overlap
-//!    (a worker runs one task at a time, and the collected stream is
-//!    globally timestamp-sorted);
-//! 3. **export validity** — the Chrome `trace_event` document produced
-//!    from the stream passes the schema validator with one complete span
-//!    per task;
-//! 4. **overflow accounting** — a ring never grows past its capacity and
-//!    counts every dropped record.
+//!    carrying its task id, also when it was retried;
+//! 2. **per-track ordering** — spans on one track never overlap (a worker
+//!    runs one task at a time);
+//! 3. **dependency order** — no span starts before its dependencies' spans
+//!    end;
+//! 4. **no loss** — nothing was dropped on ring overflow.
+//!
+//! On top of that the Chrome `trace_event` export must validate with one
+//! complete span per task, and a ring that does overflow must count every
+//! dropped record instead of growing.
 //!
 //! Every test holds [`obs::test_guard`] — the enable flag, the ring
 //! registry, and the metric registry are process-global.
 
 use mixedp_obs as obs;
-use mixedp_runtime::{execute_parallel, TaskGraph};
+use mixedp_runtime::{
+    execute_parallel, execute_parallel_ctx_opts, execute_serial_ctx_opts, validate_task_spans,
+    ExecOptions, FaultPlan, RetryPolicy, TaskGraph,
+};
 use proptest::prelude::*;
 
 /// Deterministic word stream for shaping random dependencies.
@@ -46,60 +50,45 @@ fn build_graph(n: usize, words: &[u64]) -> TaskGraph {
     g
 }
 
-/// Run `graph` with tracing on and assert the span-stream invariants.
-fn check_span_stream(graph: &TaskGraph, workers: usize) {
+/// Run `graph` with tracing on — serially when `workers` is `None` — and
+/// assert the span-stream invariants. Returns the number of failed task
+/// attempts.
+fn check_span_stream(graph: &TaskGraph, workers: Option<usize>, opts: &ExecOptions) -> usize {
     let _g = obs::test_guard();
     let n = graph.len();
     obs::collect(); // drain records left over from other tests
     obs::set_enabled(true);
-    let trace = execute_parallel(graph, workers, |_| {}).expect("execution failed");
+    let failed = match workers {
+        Some(w) => execute_parallel_ctx_opts(graph, w, |_| (), |(), _| {}, opts)
+            .map(|t| t.failures().len()),
+        None => execute_serial_ctx_opts(graph, &mut (), |(), _| {}, opts).map(|(_, f)| f.len()),
+    };
     obs::set_enabled(false);
+    let failed = failed.expect("execution failed");
     let t = obs::collect();
-    assert_eq!(t.dropped, 0, "empty-body run must not overflow the rings");
+    validate_task_spans(graph, &t).unwrap_or_else(|e| panic!("{workers:?} workers: {e}"));
 
-    // exactly one TaskExec span per task id, each on a worker track
-    let mut seen = vec![0usize; n];
+    // parallel spans sit on worker tracks, serial ones on the caller's
     for r in t
         .records
         .iter()
         .filter(|r| r.kind == obs::EventKind::TaskExec)
     {
-        assert!(
-            r.track != obs::MAIN_TRACK && (r.track as usize) < workers,
-            "task span on unexpected track {} with {workers} workers",
-            r.track
-        );
-        seen[r.arg as usize] += 1;
-    }
-    for (id, &count) in seen.iter().enumerate() {
-        assert_eq!(count, 1, "task {id} emitted {count} spans");
-    }
-
-    // per-track: spans sorted and non-overlapping (>= allows zero-length
-    // spans sharing a timestamp on coarse clocks)
-    for track in t.tracks() {
-        let mut last_end = 0u64;
-        for r in t
-            .records
-            .iter()
-            .filter(|r| r.track == track && r.kind == obs::EventKind::TaskExec)
-        {
-            assert!(
-                r.ts_ns >= last_end,
-                "span at {} overlaps previous span ending at {last_end} on track {track}",
-                r.ts_ns
-            );
-            last_end = r.ts_ns + r.dur_ns;
+        match workers {
+            Some(w) => assert!(
+                r.track != obs::MAIN_TRACK && (r.track as usize) < w,
+                "task span on unexpected track {} with {w} workers",
+                r.track
+            ),
+            None => assert_eq!(r.track, obs::MAIN_TRACK, "serial span off the main track"),
         }
     }
 
-    // span stream agrees with the scheduler's own trace, and exports to a
-    // schema-valid Chrome document with one complete span per task
-    assert_eq!(trace.spans().len(), n);
     let json = obs::chrome_trace_json(&t);
     let summary = obs::validate_chrome_trace(&json).expect("chrome export must validate");
     assert_eq!(summary.complete_spans, n);
     assert!(summary.tracks >= 1);
+    failed
 }
 
 proptest! {
@@ -112,7 +101,22 @@ proptest! {
         words in prop::collection::vec(0u64..u64::MAX, 8),
     ) {
         let graph = build_graph(n, &words);
-        check_span_stream(&graph, workers);
+        check_span_stream(&graph, None, &ExecOptions::default());
+        check_span_stream(&graph, Some(workers), &ExecOptions::default());
+    }
+}
+
+#[test]
+fn retried_task_emits_one_span() {
+    // task 5 fails its first attempt; the retry's time belongs to the same
+    // span, in both executors
+    let graph = build_graph(12, &[3, 141, 5926, 53589]);
+    let opts = ExecOptions {
+        faults: FaultPlan::seeded(11).with_panic_at(5, 1),
+        retry: RetryPolicy::default(),
+    };
+    for workers in [None, Some(1), Some(3)] {
+        assert_eq!(check_span_stream(&graph, workers, &opts), 1, "{workers:?}");
     }
 }
 

@@ -82,16 +82,6 @@ impl DenseMatrix {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Max |a_ij - b_ij|.
-    pub fn max_abs_diff(&self, other: &DenseMatrix) -> f64 {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
-    }
-
     /// Transpose (allocating).
     pub fn transpose(&self) -> DenseMatrix {
         DenseMatrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))

@@ -54,25 +54,6 @@ impl Grid2d {
     pub fn rank_of(&self, i: usize, j: usize) -> usize {
         (i % self.p) * self.q + (j % self.q)
     }
-
-    /// Ranks in the same grid row as `rank` (the recipients of a row
-    /// broadcast), excluding `rank` itself.
-    pub fn row_peers(&self, rank: usize) -> Vec<usize> {
-        let r = rank / self.q;
-        (0..self.q)
-            .map(|c| r * self.q + c)
-            .filter(|&x| x != rank)
-            .collect()
-    }
-
-    /// Ranks in the same grid column as `rank`, excluding `rank` itself.
-    pub fn col_peers(&self, rank: usize) -> Vec<usize> {
-        let c = rank % self.q;
-        (0..self.p)
-            .map(|r| r * self.q + c)
-            .filter(|&x| x != rank)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +103,5 @@ mod tests {
             }
         }
         assert!(counts.iter().all(|&c| c == 6));
-    }
-
-    #[test]
-    fn peers() {
-        let g = Grid2d::new(2, 3);
-        assert_eq!(g.row_peers(0), vec![1, 2]);
-        assert_eq!(g.col_peers(0), vec![3]);
-        assert_eq!(g.row_peers(4), vec![3, 5]);
-        assert_eq!(g.col_peers(5), vec![2]);
     }
 }
