@@ -218,13 +218,11 @@ fn main() {
             .unwrap()
             .total_stats();
         // ... occupancy at <= one worker per core, from the span stream of
-        // the second of two traced runs: the first pools the workers'
-        // rings, whose allocation mid-run would read as idle time
+        // one traced run (enabling tracing pools the workers' rings, whose
+        // allocation mid-run would read as idle time)
         obs::set_enabled(true);
-        for _ in 0..2 {
-            obs::collect();
-            execute_parallel(&dag.graph, occ_workers, |id| spin(costs[id])).unwrap();
-        }
+        obs::collect();
+        execute_parallel(&dag.graph, occ_workers, |id| spin(costs[id])).unwrap();
         obs::set_enabled(false);
         let occ = obs::occupancy_timeline(&obs::collect(), OCCUPANCY_BINS).mean_over(occ_workers);
         println!(

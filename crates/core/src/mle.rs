@@ -9,7 +9,7 @@ use mixedp_fp::Precision;
 use mixedp_geostats::assemble::covariance_tiles;
 use mixedp_geostats::loglik::{assemble_loglik, LoglikBackend};
 use mixedp_geostats::{CovarianceModel, Location};
-use mixedp_kernels::blas;
+use mixedp_kernels::solve;
 use mixedp_obs as obs;
 use mixedp_tile::{tile_fro_norms, SymmTileMatrix};
 
@@ -99,8 +99,21 @@ impl MpBackend {
         theta: &[f64],
         z: &[f64],
     ) -> Option<(f64, FactorStats)> {
-        let n = locs.len();
-        assert_eq!(z.len(), n);
+        assert_eq!(z.len(), locs.len());
+        match self.factor(model, locs, theta) {
+            Ok((sigma, stats)) => loglik_from_factor(&sigma, z).map(|ll| (ll, stats)),
+            Err(cause) => reject(cause),
+        }
+    }
+
+    /// Build `Σ(θ)`, choose its precision map and factor it in place: the
+    /// tile-wise Cholesky factor, or the rejection cause.
+    fn factor(
+        &self,
+        model: &dyn CovarianceModel,
+        locs: &[Location],
+        theta: &[f64],
+    ) -> Result<(SymmTileMatrix, FactorStats), &'static str> {
         let mut sigma = self.build_sigma(model, locs, theta);
         let norms = tile_fro_norms(&sigma);
         let pmap = PrecisionMap::from_norms(&norms, self.accuracy, &self.candidates);
@@ -115,37 +128,33 @@ impl MpBackend {
             renarrow_storage: true,
             ..Default::default()
         };
-        let stats = match factorize_mp_recovering(&mut sigma, &pmap, &opts) {
-            Ok(stats) => stats,
-            Err(e) => {
-                return reject(match e {
-                    FactorError::NotSpd(_) => "not_spd",
-                    FactorError::NonFinite { .. } => "non_finite",
-                    FactorError::EscalationExhausted { .. } => "exhausted",
-                    FactorError::TaskFailed { .. } | FactorError::WorkerPanicked => "task_failed",
-                })
-            }
-        };
-        // log|Σ| and the quadratic form via the (widened) factor.
-        let l = sigma.to_dense_lower();
-        let ld = l.data();
-        let mut log_det = 0.0;
-        for i in 0..n {
-            let d = ld[i * n + i];
-            if d <= 0.0 || !d.is_finite() {
-                return reject("bad_diagonal");
-            }
-            log_det += d.ln();
+        match factorize_mp_recovering(&mut sigma, &pmap, &opts) {
+            Ok(stats) => Ok((sigma, stats)),
+            Err(e) => Err(match e {
+                FactorError::NotSpd(_) => "not_spd",
+                FactorError::NonFinite { .. } => "non_finite",
+                FactorError::EscalationExhausted { .. } => "exhausted",
+                FactorError::TaskFailed { .. } | FactorError::WorkerPanicked => "task_failed",
+            }),
         }
-        log_det *= 2.0;
-        let mut v = z.to_vec();
-        blas::forward_solve_in_place(ld, n, &mut v);
-        let v2: f64 = v.iter().map(|x| x * x).sum();
-        if !v2.is_finite() {
-            return reject("nonfinite_quadform");
-        }
-        Some((assemble_loglik(n, log_det, v2), stats))
     }
+}
+
+/// `ℓ` from the tile-wise Cholesky factor `l` of `Σ`: `log|Σ|` from the
+/// diagonal tiles, then the quadratic form by one forward solve. Both read
+/// each tile once in its storage precision; no dense copy of the factor is
+/// made.
+fn loglik_from_factor(l: &SymmTileMatrix, z: &[f64]) -> Option<f64> {
+    let Some(log_det) = solve::cholesky_logdet_tiled(l) else {
+        return reject("bad_diagonal");
+    };
+    let mut v = z.to_vec();
+    solve::forward_solve_tiled(l, &mut v);
+    let v2: f64 = v.iter().map(|x| x * x).sum();
+    if !v2.is_finite() {
+        return reject("nonfinite_quadform");
+    }
+    Some(assemble_loglik(l.n(), log_det, v2))
 }
 
 /// Count a rejected likelihood evaluation under `mle.rejected.<cause>`.
@@ -174,6 +183,7 @@ impl LoglikBackend for MpBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mixedp_fp::StoragePrecision;
     use mixedp_geostats::loglik::ExactBackend;
     use mixedp_geostats::{gen_locations_2d, generate_field, SqExp};
     use rand::rngs::StdRng;
@@ -232,6 +242,121 @@ mod tests {
                 .1
         };
         assert!(fp64_frac(&loose) < fp64_frac(&tight));
+    }
+
+    /// The likelihood stage as it was before it read the tiles: `ℓ` from
+    /// a dense copy of the factor, with the dense log-det and solve.
+    fn dense_loglik(l: &SymmTileMatrix, z: &[f64]) -> Option<f64> {
+        let n = l.n();
+        let dense = l.to_dense_lower();
+        let ld = dense.data();
+        let mut log_det = 0.0;
+        for i in 0..n {
+            let d = ld[i * n + i];
+            if d <= 0.0 || !d.is_finite() {
+                return None;
+            }
+            log_det += d.ln();
+        }
+        log_det *= 2.0;
+        let mut v = z.to_vec();
+        mixedp_kernels::blas::forward_solve_in_place(ld, n, &mut v);
+        let v2: f64 = v.iter().map(|x| x * x).sum();
+        if !v2.is_finite() {
+            return None;
+        }
+        Some(assemble_loglik(n, log_det, v2))
+    }
+
+    /// Assert that `loglik_detailed` gives the dense oracle's bits on the
+    /// factor the backend computes, at 1 and 2 threads; returns the stats
+    /// and the factor's tile storages of the last run.
+    fn assert_matches_dense_oracle(
+        accuracy: f64,
+        nb: usize,
+        model: &dyn CovarianceModel,
+        locs: &[Location],
+        theta: &[f64],
+        z: &[f64],
+    ) -> (FactorStats, Vec<StoragePrecision>) {
+        let mut last = None;
+        for threads in [1, 2] {
+            let be = MpBackend::new(accuracy, nb, threads);
+            let (ll, stats) = be.loglik_detailed(model, locs, theta, z).unwrap();
+            let (l, _) = be.factor(model, locs, theta).unwrap();
+            let oracle = dense_loglik(&l, z).unwrap();
+            assert_eq!(
+                ll.to_bits(),
+                oracle.to_bits(),
+                "threads {threads}: tiled {ll} vs dense {oracle}"
+            );
+            let storages = (0..l.nt())
+                .flat_map(|i| (0..=i).map(move |j| (i, j)))
+                .map(|(i, j)| l.tile(i, j).storage())
+                .collect();
+            last = Some((stats, storages));
+        }
+        last.unwrap()
+    }
+
+    #[test]
+    fn tiled_stage_is_bit_identical_to_dense_oracle_sqexp_1e4() {
+        // sqexp at the paper's loose threshold: the map starts with
+        // FP16-class tiles, escalation restarts are taken, and FP32-stored
+        // tiles are left in the factor. One case has whole tiles
+        // (196 = 7 × 28), one ragged ones (300 = 4 × 64 + 44).
+        for (n, nb, range) in [(196, 28, 0.03), (300, 64, 0.02)] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let locs = gen_locations_2d(n, &mut rng);
+            let model = SqExp::new2d();
+            let theta = [1.0, range];
+            let z = generate_field(&model, &locs, &[1.0, 0.1], &mut rng);
+            let map = MpBackend::new(1e-4, nb, 1).precision_map_for(&model, &locs, &theta);
+            assert!(
+                map.percentages()
+                    .iter()
+                    .any(
+                        |&(p, pct)| matches!(p, Precision::Fp16 | Precision::Fp16x32) && pct > 0.0
+                    ),
+                "n {n}: no FP16-class tile in the map"
+            );
+            let (stats, storages) =
+                assert_matches_dense_oracle(1e-4, nb, &model, &locs, &theta, &z);
+            assert!(stats.factor_attempts > 1, "n {n}: no escalation restart");
+            assert!(storages.contains(&StoragePrecision::F32), "n {n}");
+        }
+    }
+
+    #[test]
+    fn tiled_stage_is_bit_identical_to_dense_oracle_matern_1e9() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let locs = gen_locations_2d(300, &mut rng);
+        let model = mixedp_geostats::Matern2d;
+        let theta = [1.0, 0.1, 0.5];
+        let z = generate_field(&model, &locs, &theta, &mut rng);
+        let (_, storages) = assert_matches_dense_oracle(1e-9, 64, &model, &locs, &theta, &z);
+        assert!(storages.contains(&StoragePrecision::F32));
+    }
+
+    #[test]
+    fn bad_diagonal_is_rejected_and_counted() {
+        let l = SymmTileMatrix::from_fn(
+            5,
+            2,
+            |i, j| match (i, j) {
+                (4, 4) => -1.0,
+                _ if i == j => 2.0,
+                _ => 0.0,
+            },
+            |_, _| StoragePrecision::F64,
+        );
+        let z = [1.0; 5];
+        let bad_diagonal = obs::metrics::counter("mle.rejected.bad_diagonal");
+        let before = bad_diagonal.get();
+        assert_eq!(loglik_from_factor(&l, &z), None);
+        assert_eq!(dense_loglik(&l, &z), None);
+        // other tests may add to the process-wide counter, never subtract
+        assert!(bad_diagonal.get() > before, "rejection cause not counted");
     }
 
     #[test]

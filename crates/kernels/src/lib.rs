@@ -29,6 +29,8 @@ pub use mp::{
     potrf_tile_ws, syrk_tile_ws, trsm_effective_precision, trsm_tile_ws, ComputeBuf, KernelKind,
     N_COMPUTE_FORMATS,
 };
-pub use solve::{backward_solve_trans_tiled, forward_solve_tiled, spd_solve_tiled};
+pub use solve::{
+    backward_solve_trans_tiled, cholesky_logdet_tiled, forward_solve_tiled, spd_solve_tiled,
+};
 pub use validate::{gemm_relative_error, max_rel_diff, reconstruction_error, tile_is_finite};
 pub use workspace::{with_thread_workspace, TrackedBuf, Workspace};

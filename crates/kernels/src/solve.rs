@@ -6,6 +6,27 @@
 use crate::blas;
 use mixedp_tile::SymmTileMatrix;
 
+/// `log|Σ| = 2 Σ ln L_ii` from the Cholesky factor `l` held tile-wise,
+/// or `None` when a diagonal entry is not positive or not finite.
+///
+/// Bit-identical to the same sum over the diagonal of
+/// `l.to_dense_lower()`: the entries are widened exactly from each
+/// diagonal tile's storage and added in ascending row order.
+pub fn cholesky_logdet_tiled(l: &SymmTileMatrix) -> Option<f64> {
+    let mut log_det = 0.0;
+    for k in 0..l.nt() {
+        let t = l.tile(k, k);
+        for i in 0..t.rows() {
+            let d = t.get(i, i);
+            if d <= 0.0 || !d.is_finite() {
+                return None;
+            }
+            log_det += d.ln();
+        }
+    }
+    Some(log_det * 2.0)
+}
+
 /// Solve `L y = b` in place on `b`, where `l` holds the lower Cholesky
 /// factor tile-wise (as produced by the mixed-precision factorization).
 ///
@@ -128,22 +149,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forward_is_bit_identical_to_dense_solver_on_mixed_storage() {
-        // A ragged factor whose tiles are stored in FP64, FP32 and FP16:
-        // the tiled solve must give the dense solver's bits on the widened
-        // factor, including signed zeros from an all-zero row prefix.
+    /// A ragged (n = 23, nb = 5) factor whose tiles are stored in FP64,
+    /// FP32 and FP16, with the diagonal tile `diag` in the given storage
+    /// and tile row 2 zero left of the diagonal.
+    fn mixed_storage_factor(diag: StoragePrecision) -> SymmTileMatrix {
         let n = 23;
         let nb = 5;
-        let a = spd(n);
-        let dense_l = factor_tiled(&a, nb);
-        let storage = |i: usize, j: usize| match (i + 2 * j) % 3 {
-            _ if i == j => StoragePrecision::F64,
+        let dense_l = factor_tiled(&spd(n), nb);
+        let storage = move |i: usize, j: usize| match (i + 2 * j) % 3 {
+            _ if i == j => diag,
             0 => StoragePrecision::F16,
             1 => StoragePrecision::F32,
             _ => StoragePrecision::F64,
         };
-        let l = SymmTileMatrix::from_fn(
+        SymmTileMatrix::from_fn(
             n,
             nb,
             |i, j| {
@@ -154,7 +173,15 @@ mod tests {
                 }
             },
             storage,
-        );
+        )
+    }
+
+    #[test]
+    fn forward_is_bit_identical_to_dense_solver_on_mixed_storage() {
+        // The tiled solve must give the dense solver's bits on the widened
+        // factor, including signed zeros from an all-zero row prefix.
+        let l = mixed_storage_factor(StoragePrecision::F64);
+        let n = l.n();
         let d = l.to_dense_lower();
         for b0 in [
             (0..n).map(|i| (i as f64) * 0.3 - 2.0).collect::<Vec<_>>(),
@@ -168,6 +195,36 @@ mod tests {
             blas::forward_solve_in_place(d.data(), n, &mut b_dense);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&b_tiled), bits(&b_dense));
+        }
+    }
+
+    #[test]
+    fn logdet_is_bit_identical_to_dense_diagonal_sum_on_mixed_storage() {
+        for diag in [
+            StoragePrecision::F64,
+            StoragePrecision::F32,
+            StoragePrecision::F16,
+        ] {
+            let l = mixed_storage_factor(diag);
+            let n = l.n();
+            let d = l.to_dense_lower();
+            let mut dense = 0.0;
+            for i in 0..n {
+                dense += d.get(i, i).ln();
+            }
+            dense *= 2.0;
+            let tiled = cholesky_logdet_tiled(&l).unwrap();
+            assert_eq!(tiled.to_bits(), dense.to_bits(), "{diag:?}");
+        }
+    }
+
+    #[test]
+    fn logdet_rejects_a_bad_diagonal() {
+        for bad in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut l = mixed_storage_factor(StoragePrecision::F64);
+            // the last row of the ragged last diagonal tile
+            l.tile_mut(4, 4).set(2, 2, bad);
+            assert_eq!(cholesky_logdet_tiled(&l), None, "{bad}");
         }
     }
 

@@ -50,7 +50,12 @@ pub fn enabled() -> bool {
 }
 
 /// Turn span/event tracing on or off (metric counters are always on).
+/// Turning it on first pools a ring for each thread a run is likely to
+/// start, outside any traced run.
 pub fn set_enabled(on: bool) {
+    if on {
+        ring::prefill_free_rings();
+    }
     ENABLED.store(on, Ordering::SeqCst);
 }
 

@@ -153,6 +153,21 @@ pub fn emit_record(mut r: Record) {
     });
 }
 
+/// Top the free list up to one ring per available CPU plus one (the
+/// driving thread), so that the threads of the next traced run take pooled
+/// rings on their first emit instead of allocating and filling one inside
+/// the run, where that time reads as idle. A fixed count, not one per
+/// thread: threads beyond it still allocate on their first emit.
+pub(crate) fn prefill_free_rings() {
+    let want = std::thread::available_parallelism().map_or(1, |n| n.get()) + 1;
+    let mut reg = lock_registry();
+    while reg.free.len() < want {
+        let ring = Arc::new(Ring::with_capacity(reg.capacity));
+        reg.all.push(Arc::clone(&ring));
+        reg.free.push(ring);
+    }
+}
+
 /// A collected snapshot of every ring: the raw span/instant stream.
 #[derive(Debug, Clone, Default)]
 pub struct TraceData {
@@ -284,6 +299,25 @@ mod tests {
         let t = collect();
         assert_eq!(t.records.len(), 1);
         assert_eq!(t.records[0].ts_ns, 2);
+        reset_rings();
+    }
+
+    #[test]
+    fn first_emit_after_enabling_takes_a_pooled_ring() {
+        let _g = test_guard();
+        crate::set_enabled(false);
+        reset_rings();
+        crate::set_enabled(true);
+        let pooled = lock_registry().all.len();
+        assert!(pooled >= 2, "enabling must pool rings, pooled {pooled}");
+        std::thread::spawn(|| emit_record(rec(3))).join().unwrap();
+        assert_eq!(
+            lock_registry().all.len(),
+            pooled,
+            "the emit allocated a ring"
+        );
+        crate::set_enabled(false);
+        assert_eq!(collect().records.len(), 1);
         reset_rings();
     }
 

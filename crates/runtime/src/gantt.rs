@@ -15,16 +15,20 @@ fn track_label(track: u16) -> String {
 
 /// Render the span records as one row per track, `width` columns across
 /// the makespan. Each cell shows a digit of the task id (`arg % 10`) that
-/// occupied most of that slot (`·` = idle). Instants are skipped; build
-/// the input with [`obs::collect`] after a traced run.
+/// occupied most of that slot (`·` = idle). Instants are skipped: they add
+/// no row and do not stretch the time window. Build the input with
+/// [`obs::collect`] after a traced run.
 pub fn render_gantt(trace: &obs::TraceData, width: usize) -> String {
     assert!(width > 0);
-    let tracks = trace.tracks();
+    let mut tracks: Vec<u16> = trace.spans().map(|r| r.track).collect();
+    tracks.sort_unstable();
+    tracks.dedup();
     if tracks.is_empty() {
         return String::new();
     }
-    let t0 = trace.min_ts();
-    let span = (trace.max_end() - t0).max(1) as f64;
+    let t0 = trace.spans().map(|r| r.ts_ns).min().unwrap_or(0);
+    let end = trace.spans().map(|r| r.ts_ns + r.dur_ns).max().unwrap_or(0);
+    let span = (end - t0).max(1) as f64;
     let w = span / width as f64;
     let mut rows: Vec<Vec<(f64, char)>> = vec![vec![(0.0, '·'); width]; tracks.len()];
     for r in trace.spans() {
@@ -130,6 +134,26 @@ mod tests {
         let t = stream(vec![span(7, 0, base, base + 80)]);
         let g = render_gantt(&t, 8);
         assert_eq!(g, "w0 |77777777|\n");
+    }
+
+    #[test]
+    fn instants_add_no_row_and_no_idle_band() {
+        let instant = |track: u16, ts: u64| obs::Record {
+            ts_ns: ts,
+            dur_ns: 0,
+            arg: 0,
+            kind: obs::EventKind::Park,
+            track,
+        };
+        // worker 1 only parked, and worker 0 parked long before its span
+        let t = stream(vec![
+            instant(0, 0),
+            instant(1, 500),
+            span(4, 0, 1000, 1080),
+            instant(0, 2000),
+        ]);
+        let g = render_gantt(&t, 8);
+        assert_eq!(g, "w0 |44444444|\n");
     }
 
     #[test]

@@ -11,6 +11,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== likelihood benchmark package: fmt --check + clippy -D warnings"
+cargo fmt --manifest-path likbench/Cargo.toml -- --check
+cargo clippy --offline --manifest-path likbench/Cargo.toml --all-targets -- -D warnings
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
