@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mixedp_core::{
-    factorize_mp, simulate_cholesky, uniform_map, CholeskySimOptions, PrecisionMap, WirePolicy,
+    factorize, simulate_cholesky, uniform_map, CholeskySimOptions, FactorOptions, PrecisionMap,
+    WirePolicy,
 };
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_gpusim::{ClusterSpec, NodeSpec};
@@ -23,7 +24,7 @@ fn spd_matrix(n: usize, nb: usize) -> SymmTileMatrix {
 }
 
 fn bench_factorize(c: &mut Criterion) {
-    let mut g = c.benchmark_group("factorize_mp");
+    let mut g = c.benchmark_group("factorize");
     g.sample_size(10);
     let a0 = spd_matrix(256, 64);
     let norms = tile_fro_norms(&a0);
@@ -38,7 +39,7 @@ fn bench_factorize(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(label), &pmap, |b, m| {
             b.iter(|| {
                 let mut a = a0.clone();
-                factorize_mp(&mut a, m, 2).unwrap();
+                factorize(&mut a, m, &FactorOptions::single_shot(2)).unwrap();
                 a
             })
         });
@@ -57,7 +58,7 @@ fn bench_tile_size(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(nb), &nb, |b, _| {
             b.iter(|| {
                 let mut a = a0.clone();
-                factorize_mp(&mut a, &m, 2).unwrap();
+                factorize(&mut a, &m, &FactorOptions::single_shot(2)).unwrap();
                 a
             })
         });

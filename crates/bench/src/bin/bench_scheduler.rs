@@ -26,7 +26,7 @@
 
 use mixedp_bench::timing::{median_secs, spin};
 use mixedp_bench::Args;
-use mixedp_core::factorize::{build_dag, kernel_cost, DEFAULT_KERNEL_COSTS};
+use mixedp_core::factorize::build_dag;
 use mixedp_obs as obs;
 use mixedp_runtime::{execute_parallel, TaskGraph, WorkerStats};
 use std::time::Instant;
@@ -190,7 +190,7 @@ fn main() {
     let wcosts: Vec<u64> = wdag
         .tasks
         .iter()
-        .map(|t| kernel_cost(&DEFAULT_KERNEL_COSTS, t.kind()) as u64 * unit_ns)
+        .map(|t| t.kind().weight() as u64 * unit_ns)
         .collect();
     let w_t = telemetry_off_on(wdag.graph.len(), t_reps, || {
         execute_parallel(&wdag.graph, occ_workers, |id| spin(wcosts[id])).unwrap();
@@ -210,7 +210,7 @@ fn main() {
         let costs: Vec<u64> = dag
             .tasks
             .iter()
-            .map(|t| kernel_cost(&DEFAULT_KERNEL_COSTS, t.kind()) as u64 * unit_ns)
+            .map(|t| t.kind().weight() as u64 * unit_ns)
             .collect();
         // counters from the full --workers run (stealing exercised) ...
         execute_parallel(&dag.graph, workers, |id| spin(costs[id])).unwrap();

@@ -5,7 +5,7 @@
 //! * **pack/unpack throughput** — fused convert-and-pack GB/s per wire
 //!   precision (F64 source tiles), plus the receiver-side fused unpack, and
 //!   the fused vs two-pass quantization ratio.
-//! * **data motion** — `factorize_mp_distributed` at nt ∈ {8, 16} on
+//! * **data motion** — `factorize` at nt ∈ {8, 16} on
 //!   1×1 / 2×2 / 2×4 grids under TTC and Auto wiring: measured wire bytes
 //!   (framed buffer lengths), packed payload bytes, message/frame counts,
 //!   the per-consumer-task TTC baseline, and the modeled NIC time for flat
@@ -25,10 +25,19 @@ use mixedp_core::wire::{
     pack_tile_into, packed_bytes, quantize_through_wire, reference_through_wire, unpack_tile,
     FrameMeta, Packing,
 };
-use mixedp_core::{factorize_mp, factorize_mp_distributed, uniform_map, DistStats, WirePolicy};
+use mixedp_core::{factorize, uniform_map, DistStats, FactorOptions, WirePolicy};
 use mixedp_fp::{CommPrecision, Precision, StoragePrecision};
 use mixedp_obs as obs;
 use mixedp_tile::{Grid2d, SymmTileMatrix, Tile};
+
+/// A fault-free single attempt on `grid`, one worker per rank.
+fn on_grid(grid: Grid2d, wire: WirePolicy) -> FactorOptions {
+    FactorOptions {
+        grid,
+        wire,
+        ..FactorOptions::single_shot(grid.nranks())
+    }
+}
 
 fn spd_matrix(n: usize, nb: usize) -> SymmTileMatrix {
     SymmTileMatrix::from_fn(
@@ -152,8 +161,10 @@ fn main() {
             let grid = Grid2d::new(p, q);
             for (pname, policy) in policies {
                 let mut a = a0.clone();
-                let stats = factorize_mp_distributed(&mut a, &m, &grid, policy)
-                    .expect("spd test matrix must factor");
+                let stats = *factorize(&mut a, &m, &on_grid(grid, policy))
+                    .expect("spd test matrix must factor")
+                    .wire
+                    .unwrap_or_default();
                 println!(
                     "nt={nt} grid={gname} {pname}: {} msgs, {} wire bytes, {} consumer-ttc bytes, link flat {:.3e}s tree {:.3e}s",
                     stats.messages,
@@ -184,9 +195,10 @@ fn main() {
     let a0 = spd_matrix(16 * nb, nb);
     let m = uniform_map(16, Precision::Fp16x32);
     let mut shared = a0.clone();
-    factorize_mp(&mut shared, &m, 1).expect("shared-memory factorization");
+    factorize(&mut shared, &m, &FactorOptions::single_shot(1))
+        .expect("shared-memory factorization");
     let mut dist = a0.clone();
-    factorize_mp_distributed(&mut dist, &m, &Grid2d::new(2, 2), WirePolicy::Ttc)
+    factorize(&mut dist, &m, &on_grid(Grid2d::new(2, 2), WirePolicy::Ttc))
         .expect("distributed factorization");
     let n = 16 * nb;
     let mut bit_identical = true;

@@ -20,7 +20,7 @@
 
 use mixedp_bench::{App, Args};
 use mixedp_core::PrecisionMap;
-use mixedp_core::{factorize_mp_distributed_ft, DistError, WirePolicy};
+use mixedp_core::{factorize, FactorError, FactorOptions, WirePolicy};
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_geostats::covariance::covariance_entry;
 use mixedp_kernels::reconstruction_error;
@@ -87,8 +87,16 @@ fn main() {
         let pmap = PrecisionMap::from_norms(&tile_fro_norms(&a0), u_req, &Precision::ADAPTIVE_SET);
         for policy in [WirePolicy::Ttc, WirePolicy::Auto, WirePolicy::AlwaysLowest] {
             let mut a = a0.clone();
-            match factorize_mp_distributed_ft(&mut a, &pmap, &grid, policy, &faults, &retry) {
+            let opts = FactorOptions {
+                grid,
+                wire: policy,
+                faults: faults.clone(),
+                retry: retry.clone(),
+                ..FactorOptions::single_shot(grid.nranks())
+            };
+            match factorize(&mut a, &pmap, &opts) {
                 Ok(stats) => {
+                    let stats = stats.wire.unwrap_or_default();
                     let err = reconstruction_error(&dense, &a.to_dense_lower());
                     let recovery = if faults.is_noop() {
                         String::new()
@@ -114,7 +122,7 @@ fn main() {
                         stats.messages
                     );
                 }
-                Err(e @ DistError::WireFailed { .. }) => {
+                Err(e @ FactorError::WireFailed { .. }) => {
                     println!(
                         "{:<12} {:>10} {:>12} {:>14} {:>14} {:>14} {:>12}   {e}",
                         app.label(),
@@ -126,7 +134,7 @@ fn main() {
                         "-"
                     );
                 }
-                Err(DistError::NotSpd(_)) => {
+                Err(FactorError::NotSpd(_) | FactorError::EscalationExhausted { .. }) => {
                     println!(
                         "{:<12} {:>10} {:>12} {:>14} {:>14} {:>14} {:>12}",
                         app.label(),
@@ -138,6 +146,7 @@ fn main() {
                         "-"
                     );
                 }
+                Err(e) => panic!("distributed factorization failed: {e}"),
             }
         }
         println!();

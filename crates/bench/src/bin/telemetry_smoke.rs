@@ -27,9 +27,9 @@ use std::time::Instant;
 
 use mixedp_bench::timing::{min_secs, scan_json_f64, spin};
 use mixedp_bench::Args;
-use mixedp_core::factorize::{build_dag, kernel_cost, DEFAULT_KERNEL_COSTS};
+use mixedp_core::factorize::build_dag;
 use mixedp_core::{
-    factorize_mp, factorize_mp_distributed, uniform_map, validate_run_report, RunReport, WirePolicy,
+    factorize, uniform_map, validate_run_report, FactorOptions, RunReport, WirePolicy,
 };
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_obs as obs;
@@ -59,7 +59,7 @@ fn weighted_overhead_pct(workers: usize, reps: usize, unit_ns: u64) -> f64 {
     let costs: Vec<u64> = dag
         .tasks
         .iter()
-        .map(|t| kernel_cost(&DEFAULT_KERNEL_COSTS, t.kind()) as u64 * unit_ns)
+        .map(|t| t.kind().weight() as u64 * unit_ns)
         .collect();
     let t_off = min_secs(reps, || {
         execute_parallel(&dag.graph, workers, |id| spin(costs[id])).unwrap();
@@ -90,18 +90,27 @@ fn main() {
 
     // --- traced run: parallel factorization + distributed leg ------------
     let mut a_off = a0.clone();
-    factorize_mp(&mut a_off, &m, threads).expect("untraced factorization");
+    factorize(&mut a_off, &m, &FactorOptions::single_shot(threads))
+        .expect("untraced factorization");
 
     obs::reset_rings();
     obs::metrics::reset();
     obs::set_enabled(true);
     let t0 = Instant::now();
     let mut a_on = a0.clone();
-    let stats = factorize_mp(&mut a_on, &m, threads).expect("traced factorization");
+    let stats = factorize(&mut a_on, &m, &FactorOptions::single_shot(threads))
+        .expect("traced factorization");
     let factor_trace = obs::collect();
     let mut a_dist = a0.clone();
-    let dist = factorize_mp_distributed(&mut a_dist, &m, &Grid2d::new(2, 2), WirePolicy::Auto)
-        .expect("traced distributed factorization");
+    let on_grid = FactorOptions {
+        grid: Grid2d::new(2, 2),
+        wire: WirePolicy::Auto,
+        ..FactorOptions::single_shot(threads)
+    };
+    let dist = factorize(&mut a_dist, &m, &on_grid)
+        .expect("traced distributed factorization")
+        .wire
+        .unwrap_or_default();
     let wall_s = t0.elapsed().as_secs_f64();
     obs::set_enabled(false);
     let mut trace = obs::collect();

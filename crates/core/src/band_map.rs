@@ -77,7 +77,7 @@ pub fn banded_map_matching_storage(nt: usize, nb: usize, target: &PrecisionMap) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factorize::factorize_mp;
+    use crate::factorize::{factorize, FactorOptions};
     use crate::precision_map::PrecisionMap;
     use mixedp_fp::StoragePrecision;
     use mixedp_kernels::reconstruction_error;
@@ -146,7 +146,7 @@ mod tests {
 
         let err_of = |m: &PrecisionMap| {
             let mut a = a0.clone();
-            match factorize_mp(&mut a, m, 2) {
+            match factorize(&mut a, m, &FactorOptions::single_shot(2)) {
                 // losing positive definiteness is the worst possible outcome
                 Err(_) => f64::INFINITY,
                 Ok(_) => reconstruction_error(&dense, &a.to_dense_lower()),

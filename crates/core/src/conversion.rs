@@ -31,6 +31,7 @@ use crate::precision_map::PrecisionMap;
 use mixedp_fp::{comm_of_storage, comm_requirement, higher_comm, CommPrecision};
 use mixedp_kernels::trsm_effective_precision;
 use mixedp_obs as obs;
+use mixedp_tile::lower_index;
 
 /// Wire-precision policy for every payload a run ships between owners —
 /// the numerical distributed engine and the simulator share it.
@@ -81,14 +82,12 @@ impl ConversionPlan {
 
     /// Wire precision of broadcasts issued from tile `(i, j)`.
     pub fn comm(&self, i: usize, j: usize) -> CommPrecision {
-        debug_assert!(j <= i);
-        self.comm[i * (i + 1) / 2 + j]
+        self.comm[lower_index(i, j)]
     }
 
     /// Whether the task on tile `(i, j)` uses sender-side conversion.
     pub fn is_stc(&self, i: usize, j: usize) -> bool {
-        debug_assert!(j <= i);
-        self.stc[i * (i + 1) / 2 + j]
+        self.stc[lower_index(i, j)]
     }
 
     /// Number of STC tiles (Fig 4's red-bordered tiles).

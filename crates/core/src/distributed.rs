@@ -1,12 +1,14 @@
 //! Distributed-memory numerical execution: Algorithm 1 with a *real wire* —
 //! packed byte payloads, rank-level messages, and tree broadcasts.
 //!
-//! The same engine as shared memory ([`crate::factorize`]) runs the DAG —
-//! same scheduler, kernels and STC cache; shared memory is simply the 1×1
-//! grid. Here tiles are owned by ranks of a 2D block-cyclic [`Grid2d`]
-//! (owner-computes), and every dependency that crosses ranks travels as an
-//! actual [`crate::wire`] message into a per-(tile, rank) inbox slot, which
-//! the consuming task reads in place of the owner's tile. `POTRF(k)` ships
+//! There is no separate entry point: [`factorize`] with a
+//! [`FactorOptions::grid`] of more than one rank runs the same DAG on the
+//! same scheduler, kernels, STC cache and recovery loop; shared memory is
+//! simply the 1×1 grid. On the grid, tiles are owned by ranks of a 2D
+//! block-cyclic [`Grid2d`] (owner-computes), and every dependency that
+//! crosses ranks travels as an actual [`crate::wire`] message into a
+//! per-(tile, rank) inbox slot, which the consuming task reads in place of
+//! the owner's tile. Each attempt builds its own ranks. `POTRF(k)` ships
 //! its one-frame `L_kk` itself; one broadcast node per step ships panel
 //! column `k` after its TRSMs and before the step's trailing updates:
 //!
@@ -25,7 +27,7 @@
 //!   ([`crate::wire::broadcast_hops`]) instead of `D` serialized sends from
 //!   the owner; [`DistStats`] reports the modeled NIC time both ways.
 //!
-//! Wire precisions come from the conversion plan ([`WirePolicy`]):
+//! Wire precisions come from the conversion plan ([`FactorOptions::wire`]):
 //!
 //! * [`WirePolicy::Ttc`] — ship storage precision: cross-rank payloads are
 //!   bit-identical to the owner's tile (storage quantization is the
@@ -39,14 +41,31 @@
 //!   further reduce GPU data transfer, but it might also unnecessarily
 //!   compromise the accuracy"): every payload ships FP16.
 //!
-//! The `ext_stc_accuracy` binary quantifies the three against each other;
-//! `bench_wire` measures the engine itself.
+//! Every link transmission (tree hops included) is probed against
+//! [`FactorOptions::faults`], deterministically from the message sequence
+//! number, the link's endpoint ranks and the transmission attempt:
+//!
+//! * [`WireFault::Drop`] — the message never arrives; the receiver waits a
+//!   jittered exponential backoff (accounted in [`DistStats::backoff_ns`],
+//!   never actually slept — this is a simulation) and requests a
+//!   retransmit.
+//! * [`WireFault::Garble`] — the message arrives corrupted; the receiver's
+//!   integrity check (typed wire decode + [`tile_is_finite`] on every
+//!   frame) rejects it and requests a retransmit.
+//!
+//! Each retransmission is a real message (counted in `messages` /
+//! `wire_bytes`), so fault recovery shows up as communication overhead.
+//! A message that fails `retry.max_attempts` consecutive transmissions
+//! ends the run with [`FactorError::WireFailed`], naming the payload and
+//! the starved rank. A retransmission resends the same deterministic
+//! packed payload, so a recovered run's factor is **bit-identical** to the
+//! fault-free run.
+//!
+//! The `ext_stc_accuracy` binary quantifies the three policies against
+//! each other; `bench_wire` measures the engine itself.
 
 use crate::conversion::{plan_conversions, wire_of, ConversionPlan, WirePolicy};
-use crate::factorize::{
-    load_cells, lock_pt, read_pt, run_attempt, single_shot_options, write_back, ExecDag,
-    DEFAULT_KERNEL_COSTS,
-};
+use crate::factorize::{factorize, lock_pt, read_pt, FactorError, FactorOptions};
 use crate::precision_map::PrecisionMap;
 use crate::wire::{
     begin_message, broadcast_hops, broadcast_rounds, framed_tile_bytes, packed_bytes, push_frame,
@@ -57,8 +76,8 @@ use mixedp_gpusim::model::link_time_s;
 use mixedp_gpusim::NodeSpec;
 use mixedp_kernels::{blas::NotSpd, tile_is_finite, Workspace};
 use mixedp_obs as obs;
-use mixedp_runtime::{FaultPlan, RetryPolicy, WireFault};
-use mixedp_tile::{Grid2d, SymmTileMatrix, Tile};
+use mixedp_runtime::WireFault;
+use mixedp_tile::{lower_index as idx, Grid2d, SymmTileMatrix, Tile};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
@@ -146,43 +165,6 @@ impl DistStats {
     }
 }
 
-/// Typed failure modes of the fault-tolerant distributed factorization.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DistError {
-    /// POTRF hit a non-positive pivot (same meaning as shared memory).
-    NotSpd(NotSpd),
-    /// A cross-rank message failed through the whole retransmit budget.
-    WireFailed {
-        /// Source coordinates of the message's first tile frame.
-        i: usize,
-        j: usize,
-        /// Receiving rank that never got it.
-        rank: usize,
-        attempts: u32,
-    },
-}
-
-impl std::fmt::Display for DistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DistError::NotSpd(e) => {
-                write!(f, "matrix is not positive definite at column {}", e.column)
-            }
-            DistError::WireFailed {
-                i,
-                j,
-                rank,
-                attempts,
-            } => write!(
-                f,
-                "payload of tile ({i},{j}) to rank {rank} failed {attempts} transmission attempt(s)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DistError {}
-
 /// One tile scheduled for broadcast in the current factorization step.
 #[derive(Debug, Clone, Copy)]
 struct Bcast {
@@ -194,20 +176,13 @@ struct Bcast {
     ndests: usize,
 }
 
-/// Lower-packed index of tile `(i, j)`.
-fn idx(i: usize, j: usize) -> usize {
-    i * (i + 1) / 2 + j
-}
-
 /// Rank-owned placement of an attempt's tiles on a grid with more than one
 /// rank: the owner map, the inbox, and the wire that fills it.
 pub(crate) struct Ranks<'a> {
-    grid: &'a Grid2d,
     pmap: &'a PrecisionMap,
     plan: ConversionPlan,
-    policy: WirePolicy,
-    faults: &'a FaultPlan,
-    retry: &'a RetryPolicy,
+    /// The grid, wire policy, faults and retransmit budget.
+    opts: &'a FactorOptions,
     /// `inbox[tile * nranks + rank]`: `rank`'s received copy of a
     /// lower-packed tile. Only final tiles are communicated (a panel tile
     /// once its TRSM ran, `L_kk` once its POTRF ran), each once, so a slot
@@ -226,41 +201,37 @@ pub(crate) struct Ranks<'a> {
 struct WireLog {
     stats: DistStats,
     seq: u64,
-    error: Option<DistError>,
+    error: Option<FactorError>,
 }
 
 impl<'a> Ranks<'a> {
-    fn new(
-        grid: &'a Grid2d,
-        pmap: &'a PrecisionMap,
-        policy: WirePolicy,
-        faults: &'a FaultPlan,
-        retry: &'a RetryPolicy,
-    ) -> Self {
+    /// An attempt's ranks on `opts.grid`, with empty inboxes and a fresh
+    /// message sequence; the wire counters continue from `stats`.
+    pub(crate) fn new(pmap: &'a PrecisionMap, opts: &'a FactorOptions, stats: DistStats) -> Self {
         let nt = pmap.nt();
         Ranks {
-            grid,
             pmap,
             plan: plan_conversions(pmap),
-            policy,
-            faults,
-            retry,
-            inbox: (0..nt * (nt + 1) / 2 * grid.nranks())
+            opts,
+            inbox: (0..nt * (nt + 1) / 2 * opts.grid.nranks())
                 .map(|_| OnceLock::new())
                 .collect(),
-            log: Mutex::new(WireLog::default()),
+            log: Mutex::new(WireLog {
+                stats,
+                ..Default::default()
+            }),
             halted: AtomicBool::new(false),
         }
     }
 
     /// The rank owning tile `(i, j)` and running the tasks that write it.
     pub(crate) fn owner(&self, (i, j): (usize, usize)) -> usize {
-        self.grid.rank_of(i, j)
+        self.opts.grid.rank_of(i, j)
     }
 
     /// `rank`'s received copy of tile `(i, j)`.
     pub(crate) fn received(&self, (i, j): (usize, usize), rank: usize) -> &RwLock<Tile> {
-        self.inbox[idx(i, j) * self.grid.nranks() + rank]
+        self.inbox[idx(i, j) * self.opts.grid.nranks() + rank]
             .get()
             .expect("broadcast must have delivered every consumed tile")
     }
@@ -269,12 +240,12 @@ impl<'a> Ranks<'a> {
         self.halted.load(Ordering::Acquire)
     }
 
-    pub(crate) fn halt(&self) {
+    fn halt(&self) {
         self.halted.store(true, Ordering::Release);
     }
 
     /// The wire's statistics, or the broadcast failure that halted the run.
-    fn finish(self) -> Result<DistStats, DistError> {
+    pub(crate) fn finish(self) -> Result<DistStats, FactorError> {
         let log = self.log.into_inner().unwrap_or_else(|e| e.into_inner());
         match log.error {
             Some(e) => Err(e),
@@ -304,7 +275,7 @@ impl<'a> Ranks<'a> {
 
     /// Broadcast the factored `L_kk` to the TRSM owners of column `k`.
     pub(crate) fn broadcast_diag(&self, k: usize, cells: &[RwLock<Tile>], ws: &mut Workspace) {
-        let nranks = self.grid.nranks();
+        let nranks = self.opts.grid.nranks();
         let nt = self.pmap.nt();
         let owner = self.owner((k, k));
         let mut log = lock_pt(&self.log);
@@ -331,7 +302,7 @@ impl<'a> Ranks<'a> {
     /// `(i,k)` ships once per rank owning any of its SYRK/GEMM consumers,
     /// never per consumer task.
     pub(crate) fn broadcast_panel(&self, k: usize, cells: &[RwLock<Tile>], ws: &mut Workspace) {
-        let nranks = self.grid.nranks();
+        let nranks = self.opts.grid.nranks();
         let nt = self.pmap.nt();
         let mut log = lock_pt(&self.log);
         let mut dest_arena: Vec<usize> = Vec::new();
@@ -391,8 +362,8 @@ impl<'a> Ranks<'a> {
         dest_arena: &[usize],
         ws: &mut Workspace,
     ) {
-        let (pmap, faults, retry) = (self.pmap, self.faults, self.retry);
-        let wire = |i: usize, j: usize| wire_of(&self.plan, pmap, self.policy, i, j);
+        let (pmap, faults, retry) = (self.pmap, &self.opts.faults, &self.opts.retry);
+        let wire = |i: usize, j: usize| wire_of(&self.plan, pmap, self.opts.wire, i, j);
         let tile = |i: usize, j: usize| read_pt(&cells[idx(i, j)]);
         // NIC link model for the flat-vs-tree time accounting.
         let nic = NodeSpec::summit();
@@ -502,7 +473,7 @@ impl<'a> Ranks<'a> {
                 stats.backoff_ns += retry.backoff_ns(faults, site, attempt);
             };
             let Some(decoded) = received else {
-                log.error = Some(DistError::WireFailed {
+                log.error = Some(FactorError::WireFailed {
                     i: frames[0].i,
                     j: frames[0].j,
                     rank: to,
@@ -512,122 +483,72 @@ impl<'a> Ranks<'a> {
                 return;
             };
             for (meta, t) in decoded {
-                let slot = &self.inbox[idx(meta.i, meta.j) * self.grid.nranks() + to];
+                let slot = &self.inbox[idx(meta.i, meta.j) * self.opts.grid.nranks() + to];
                 assert!(slot.set(RwLock::new(t)).is_ok(), "tile received twice");
             }
         }
     }
 }
 
-/// Distributed mixed-precision factorization over `grid`: the shared
-/// engine's scheduler and kernels, one worker per rank (capped at the
-/// host's parallelism), with cross-rank reads wire-quantized per `policy`.
+/// A fault-free single-shot [`factorize`] on `grid`, one worker per rank
+/// (capped at the host's parallelism), returning the wire counters.
 ///
-/// Thin fault-free wrapper over [`factorize_mp_distributed_ft`].
+/// Kept for `likbench/`, which calls it by this name and signature; delete
+/// with the next benchmark-side change.
 pub fn factorize_mp_distributed(
     a: &mut SymmTileMatrix,
     pmap: &PrecisionMap,
     grid: &Grid2d,
     policy: WirePolicy,
 ) -> Result<DistStats, NotSpd> {
-    match factorize_mp_distributed_ft(
-        a,
-        pmap,
-        grid,
-        policy,
-        &FaultPlan::none(),
-        &RetryPolicy::no_retry(),
-    ) {
-        Ok(s) => Ok(s),
-        Err(DistError::NotSpd(e)) => Err(e),
-        Err(e @ DistError::WireFailed { .. }) => {
-            unreachable!("a fault-free wire cannot fail: {e}")
-        }
-    }
-}
-
-/// [`factorize_mp_distributed`] with simulated wire faults and bounded
-/// retransmission.
-///
-/// Every link transmission (tree hops included) is probed against `faults`
-/// (deterministically, from the message sequence number and the link's
-/// endpoint ranks, plus the attempt number):
-///
-/// * [`WireFault::Drop`] — the message never arrives; the receiver waits a
-///   jittered exponential backoff (accounted in [`DistStats::backoff_ns`],
-///   never actually slept — this is a simulation) and requests a
-///   retransmit.
-/// * [`WireFault::Garble`] — the message arrives corrupted; the receiver's
-///   integrity check (typed wire decode + [`tile_is_finite`] on every
-///   frame) rejects it and requests a retransmit.
-///
-/// Each retransmission is a real message (counted in `messages` /
-/// `wire_bytes`), so fault recovery shows up as communication overhead.
-/// When a message fails `retry.max_attempts` consecutive transmissions the
-/// run aborts with [`DistError::WireFailed`] naming the payload and the
-/// starved rank. Because rate faults hash the attempt number, retransmits
-/// of a dropped message usually succeed — and a recovered run's numerical
-/// result is **bit-identical** to the fault-free run, since retransmission
-/// resends the same deterministic packed payload.
-///
-/// On any error `a` is left untouched.
-pub fn factorize_mp_distributed_ft(
-    a: &mut SymmTileMatrix,
-    pmap: &PrecisionMap,
-    grid: &Grid2d,
-    policy: WirePolicy,
-    faults: &FaultPlan,
-    retry: &RetryPolicy,
-) -> Result<DistStats, DistError> {
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = grid.nranks().min(host);
-    factorize_on_grid(a, pmap, grid, policy, faults, retry, workers)
-}
-
-/// [`factorize_mp_distributed_ft`] on `workers` scheduler workers.
-fn factorize_on_grid(
-    a: &mut SymmTileMatrix,
-    pmap: &PrecisionMap,
-    grid: &Grid2d,
-    policy: WirePolicy,
-    faults: &FaultPlan,
-    retry: &RetryPolicy,
-    workers: usize,
-) -> Result<DistStats, DistError> {
-    let nt = a.nt();
-    assert_eq!(pmap.nt(), nt);
-    // One rank is shared memory: no broadcast nodes, no inbox.
-    let ranks = (grid.nranks() > 1).then(|| Ranks::new(grid, pmap, policy, faults, retry));
-    let dag = ExecDag::build(nt, &DEFAULT_KERNEL_COSTS, ranks.is_some());
-    let cells = load_cells(a, pmap, false);
-    let out = run_attempt(
-        &cells,
-        &dag,
-        pmap,
-        &single_shot_options(workers),
-        1,
-        None,
-        ranks.as_ref(),
-    )
-    .unwrap_or_else(|e| panic!("worker panicked during factorization: {e}"));
-    let stats = ranks.map_or(Ok(DistStats::default()), Ranks::finish)?;
-    if let Some((id, _)) = out.first_failure() {
-        let (k, _) = dag.task(id).expect("only kernels break down").output_tile();
-        return Err(DistError::NotSpd(NotSpd { column: k * a.nb() }));
+    let opts = FactorOptions {
+        grid: *grid,
+        wire: policy,
+        ..FactorOptions::single_shot(grid.nranks().min(host))
+    };
+    match factorize(a, pmap, &opts) {
+        Ok(stats) => Ok(*stats.wire.unwrap_or_default()),
+        Err(FactorError::NotSpd(e)) => Err(e),
+        Err(FactorError::EscalationExhausted { last, .. }) => Err(NotSpd {
+            column: last.tile.0 * a.nb(),
+        }),
+        Err(e) => panic!("fault-free distributed factorization failed: {e}"),
     }
-    write_back(a, cells, pmap);
-    stats.publish_metrics();
-    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factorize::factorize_mp;
+    use crate::factorize::BreakdownCause;
     use crate::precision_map::uniform_map;
     use mixedp_fp::{Precision, StoragePrecision};
     use mixedp_kernels::reconstruction_error;
+    use mixedp_runtime::{FaultPlan, RetryPolicy};
     use mixedp_tile::tile_fro_norms;
+
+    /// A fault-free single attempt on `grid`, one worker per rank.
+    fn on_grid(grid: Grid2d, wire: WirePolicy) -> FactorOptions {
+        FactorOptions {
+            grid,
+            wire,
+            ..FactorOptions::single_shot(grid.nranks())
+        }
+    }
+
+    /// [`on_grid`] under wire `faults`, retransmitting up to `retry`.
+    fn on_faulty_grid(
+        grid: Grid2d,
+        wire: WirePolicy,
+        faults: &FaultPlan,
+        retry: &RetryPolicy,
+    ) -> FactorOptions {
+        FactorOptions {
+            faults: faults.clone(),
+            retry: retry.clone(),
+            ..on_grid(grid, wire)
+        }
+    }
 
     fn spd_matrix(n: usize, nb: usize) -> SymmTileMatrix {
         SymmTileMatrix::from_fn(
@@ -646,10 +567,12 @@ mod tests {
         let a0 = spd_matrix(64, 16);
         let m = uniform_map(a0.nt(), Precision::Fp16x32);
         let mut shared = a0.clone();
-        factorize_mp(&mut shared, &m, 1).unwrap();
+        factorize(&mut shared, &m, &FactorOptions::single_shot(1)).unwrap();
         let mut dist = a0.clone();
-        let stats =
-            factorize_mp_distributed(&mut dist, &m, &Grid2d::new(1, 1), WirePolicy::Auto).unwrap();
+        let stats = factorize(&mut dist, &m, &on_grid(Grid2d::new(1, 1), WirePolicy::Auto))
+            .unwrap()
+            .wire
+            .unwrap_or_default();
         assert_eq!(stats.messages, 0, "single rank sends nothing");
         assert_eq!(stats.wire_bytes, 0);
         for i in 0..64 {
@@ -666,10 +589,12 @@ mod tests {
         let a0 = spd_matrix(80, 16);
         let m = uniform_map(a0.nt(), Precision::Fp16);
         let mut shared = a0.clone();
-        factorize_mp(&mut shared, &m, 1).unwrap();
+        factorize(&mut shared, &m, &FactorOptions::single_shot(1)).unwrap();
         let mut dist = a0.clone();
-        let stats =
-            factorize_mp_distributed(&mut dist, &m, &Grid2d::new(2, 3), WirePolicy::Ttc).unwrap();
+        let stats = factorize(&mut dist, &m, &on_grid(Grid2d::new(2, 3), WirePolicy::Ttc))
+            .unwrap()
+            .wire
+            .unwrap_or_default();
         assert!(stats.messages > 0);
         // under TTC the packed payloads are exactly the rank-deduplicated
         // storage-precision baseline; framing is the only overhead
@@ -692,7 +617,10 @@ mod tests {
 
         let run = |policy: WirePolicy| {
             let mut a = a0.clone();
-            let s = factorize_mp_distributed(&mut a, &m, &grid, policy).unwrap();
+            let s = factorize(&mut a, &m, &on_grid(grid, policy))
+                .unwrap()
+                .wire
+                .unwrap_or_default();
             (reconstruction_error(&dense, &a.to_dense_lower()), s)
         };
         let (err_ttc, s_ttc) = run(WirePolicy::Ttc);
@@ -724,7 +652,7 @@ mod tests {
         let grid = Grid2d::new(2, 2);
         let run = |policy: WirePolicy| {
             let mut a = a0.clone();
-            factorize_mp_distributed(&mut a, &m, &grid, policy).unwrap();
+            factorize(&mut a, &m, &on_grid(grid, policy)).unwrap();
             reconstruction_error(&dense, &a.to_dense_lower())
         };
         let err_auto = run(WirePolicy::Auto);
@@ -747,7 +675,10 @@ mod tests {
         let m = uniform_map(16, Precision::Fp16x32);
         let grid = Grid2d::new(2, 2);
         let mut a = a0.clone();
-        let s = factorize_mp_distributed(&mut a, &m, &grid, WirePolicy::Auto).unwrap();
+        let s = factorize(&mut a, &m, &on_grid(grid, WirePolicy::Auto))
+            .unwrap()
+            .wire
+            .unwrap_or_default();
         assert!(
             (s.wire_bytes as f64) <= 0.7 * s.consumer_ttc_bytes as f64,
             "measured {} vs per-consumer baseline {}",
@@ -768,8 +699,10 @@ mod tests {
         // wider grid: destination sets reach 5–7 ranks, where ⌈log₂(D+1)⌉
         // rounds strictly beat D root-serialized sends
         let mut a8 = a0.clone();
-        let s8 =
-            factorize_mp_distributed(&mut a8, &m, &Grid2d::new(2, 4), WirePolicy::Auto).unwrap();
+        let s8 = factorize(&mut a8, &m, &on_grid(Grid2d::new(2, 4), WirePolicy::Auto))
+            .unwrap()
+            .wire
+            .unwrap_or_default();
         assert!(
             s8.link_time_tree_s < s8.link_time_flat_s,
             "tree broadcasts must beat root-serialized sends on 8 ranks: {} vs {}",
@@ -789,7 +722,10 @@ mod tests {
         let grid = Grid2d::new(2, 3);
 
         let mut clean = a0.clone();
-        let s_clean = factorize_mp_distributed(&mut clean, &m, &grid, WirePolicy::Ttc).unwrap();
+        let s_clean = factorize(&mut clean, &m, &on_grid(grid, WirePolicy::Ttc))
+            .unwrap()
+            .wire
+            .unwrap_or_default();
 
         let faults = FaultPlan::seeded(42)
             .with_wire_drop_rate(0.25)
@@ -798,9 +734,11 @@ mod tests {
             .with_max_attempts(10)
             .with_backoff_base_ns(1_000);
         let mut faulty = a0.clone();
-        let s =
-            factorize_mp_distributed_ft(&mut faulty, &m, &grid, WirePolicy::Ttc, &faults, &retry)
-                .unwrap();
+        let opts = on_faulty_grid(grid, WirePolicy::Ttc, &faults, &retry);
+        let s = factorize(&mut faulty, &m, &opts)
+            .unwrap()
+            .wire
+            .unwrap_or_default();
 
         assert!(s.dropped > 0, "plan must actually drop payloads");
         assert!(s.garbled > 0, "plan must actually garble payloads");
@@ -836,9 +774,11 @@ mod tests {
         let run = |seed: u64| {
             let faults = FaultPlan::seeded(seed).with_wire_drop_rate(0.3);
             let mut a = a0.clone();
-            let s =
-                factorize_mp_distributed_ft(&mut a, &m, &grid, WirePolicy::Ttc, &faults, &retry)
-                    .unwrap();
+            let opts = on_faulty_grid(grid, WirePolicy::Ttc, &faults, &retry);
+            let s = factorize(&mut a, &m, &opts)
+                .unwrap()
+                .wire
+                .unwrap_or_default();
             (s.messages, s.dropped, s.retransmits, s.backoff_ns)
         };
         assert_eq!(run(7), run(7), "same seed, same fault history");
@@ -856,17 +796,10 @@ mod tests {
         let faults = FaultPlan::seeded(1).with_wire_drop_rate(1.0);
         let retry = RetryPolicy::default().with_max_attempts(3);
         let mut a = a0.clone();
-        let err = factorize_mp_distributed_ft(
-            &mut a,
-            &m,
-            &Grid2d::new(2, 2),
-            WirePolicy::Ttc,
-            &faults,
-            &retry,
-        )
-        .unwrap_err();
+        let opts = on_faulty_grid(Grid2d::new(2, 2), WirePolicy::Ttc, &faults, &retry);
+        let err = factorize(&mut a, &m, &opts).unwrap_err();
         match err {
-            DistError::WireFailed { attempts, .. } => assert_eq!(attempts, 3),
+            FactorError::WireFailed { attempts, .. } => assert_eq!(attempts, 3),
             e => panic!("expected WireFailed, got {e:?}"),
         }
         let msg = format!("{err}");
@@ -878,9 +811,9 @@ mod tests {
         let a0 = spd_matrix(60, 12);
         let m = uniform_map(a0.nt(), Precision::Fp32);
         let mut r1 = a0.clone();
-        factorize_mp_distributed(&mut r1, &m, &Grid2d::new(1, 4), WirePolicy::Ttc).unwrap();
+        factorize(&mut r1, &m, &on_grid(Grid2d::new(1, 4), WirePolicy::Ttc)).unwrap();
         let mut r2 = a0.clone();
-        factorize_mp_distributed(&mut r2, &m, &Grid2d::new(2, 2), WirePolicy::Ttc).unwrap();
+        factorize(&mut r2, &m, &on_grid(Grid2d::new(2, 2), WirePolicy::Ttc)).unwrap();
         for i in 0..60 {
             for j in 0..=i {
                 assert_eq!(r1.get(i, j), r2.get(i, j));
@@ -934,8 +867,14 @@ mod tests {
             for faults in [FaultPlan::none(), faulty.clone()] {
                 let run = |workers: usize| {
                     let mut a = a0.clone();
-                    let s = factorize_on_grid(&mut a, &m, &grid, policy, &faults, &retry, workers)
-                        .unwrap();
+                    let opts = FactorOptions {
+                        nthreads: workers,
+                        ..on_faulty_grid(grid, policy, &faults, &retry)
+                    };
+                    let s = factorize(&mut a, &m, &opts)
+                        .unwrap()
+                        .wire
+                        .unwrap_or_default();
                     (bits(&a), counters(&s), s.link_time_tree_s.to_bits())
                 };
                 let one = run(1);
@@ -958,11 +897,13 @@ mod tests {
         let grid = Grid2d::new(2, 2);
         for workers in [1, 4] {
             let mut a = a0.clone();
-            let err =
-                factorize_on_grid(&mut a, &m, &grid, WirePolicy::Ttc, &faults, &retry, workers)
-                    .unwrap_err();
+            let opts = FactorOptions {
+                nthreads: workers,
+                ..on_faulty_grid(grid, WirePolicy::Ttc, &faults, &retry)
+            };
+            let err = factorize(&mut a, &m, &opts).unwrap_err();
             assert!(
-                matches!(err, DistError::WireFailed { attempts: 2, .. }),
+                matches!(err, FactorError::WireFailed { attempts: 2, .. }),
                 "{err:?}"
             );
             assert_eq!(bits(&a), bits(&a0), "{workers} worker(s)");
@@ -985,9 +926,76 @@ mod tests {
         );
         let m = uniform_map(a0.nt(), Precision::Fp64);
         let mut a = a0.clone();
-        let err =
-            factorize_mp_distributed(&mut a, &m, &Grid2d::new(2, 2), WirePolicy::Auto).unwrap_err();
+        let opts = on_grid(Grid2d::new(2, 2), WirePolicy::Auto);
+        let Err(FactorError::NotSpd(err)) = factorize(&mut a, &m, &opts) else {
+            panic!("an indefinite matrix must be NotSpd");
+        };
         assert_eq!(err.column, 32, "first breakdown is POTRF(2,2)");
         assert_eq!(bits(&a), bits(&a0));
+    }
+
+    #[test]
+    fn escalation_on_a_grid_matches_shared_memory() {
+        // Sqexp data under the adaptive 1e-4 map breaks down and escalates.
+        // A TTC wire is lossless and a restarted attempt equals a resumed
+        // one, so the 2×2 grid, which restarts every attempt, reproduces
+        // the 1×1 run's factor, escalation trail and attempt count.
+        let n = 100;
+        let a0 = SymmTileMatrix::from_fn(
+            n,
+            16,
+            |i, j| {
+                let d = (i as f64 - j as f64) / (n as f64 * 0.2);
+                (-d * d).exp() + if i == j { 1e-6 } else { 0.0 }
+            },
+            |_, _| StoragePrecision::F64,
+        );
+        let m = PrecisionMap::from_norms(&tile_fro_norms(&a0), 1e-4, &Precision::ADAPTIVE_SET);
+        let run = |opts: &FactorOptions| {
+            let mut a = a0.clone();
+            let s = factorize(&mut a, &m, opts).unwrap();
+            let trail: Vec<_> = s
+                .escalations
+                .iter()
+                .map(|e| (e.task, e.tile, e.cause, e.escalated_tiles))
+                .collect();
+            (bits(&a), trail, s.factor_attempts)
+        };
+        let shared = run(&FactorOptions::default());
+        assert!(shared.1.len() >= 2, "the map must escalate: {:?}", shared.1);
+        for workers in [1, 4] {
+            let opts = FactorOptions {
+                nthreads: workers,
+                grid: Grid2d::new(2, 2),
+                wire: WirePolicy::Ttc,
+                ..Default::default()
+            };
+            assert_eq!(run(&opts), shared, "{workers} worker(s)");
+        }
+    }
+
+    #[test]
+    fn corrupted_diagonal_factor_is_rerun_not_broadcast() {
+        // An injected NaN in POTRF(0)'s output fails the health check, so
+        // L_00 is never shipped: the attempt reruns clean instead of the
+        // receivers rejecting every retransmission of a poisoned frame.
+        let a0 = spd_matrix(64, 16);
+        let m = uniform_map(a0.nt(), Precision::Fp32);
+        let grid = FactorOptions {
+            grid: Grid2d::new(2, 2),
+            wire: WirePolicy::Ttc,
+            ..Default::default()
+        };
+        let mut clean = a0.clone();
+        factorize(&mut clean, &m, &grid).unwrap();
+        let mut l = a0.clone();
+        let opts = FactorOptions {
+            faults: FaultPlan::seeded(3).with_corrupt_at(0, 1),
+            ..grid
+        };
+        let stats = factorize(&mut l, &m, &opts).unwrap();
+        assert_eq!(stats.factor_attempts, 2);
+        assert_eq!(stats.escalations[0].cause, BreakdownCause::Injected);
+        assert_eq!(bits(&l), bits(&clean));
     }
 }

@@ -9,7 +9,8 @@
 //! the factor and everything downstream (log-likelihoods, parameter
 //! estimates) carry genuine mixed-precision rounding.
 
-use crate::distributed::Ranks;
+use crate::conversion::WirePolicy;
+use crate::distributed::{DistStats, Ranks};
 use crate::precision_map::PrecisionMap;
 use mixedp_fp::Precision;
 use mixedp_kernels::{
@@ -22,7 +23,7 @@ use mixedp_runtime::{
     execute_parallel_ctx_opts, execute_serial_ctx_opts, ExecOptions, ExecuteError, FaultPlan,
     RetryPolicy, TaskGraph, TaskId, WorkerStats,
 };
-use mixedp_tile::{SymmTileMatrix, Tile};
+use mixedp_tile::{lower_index, lower_tiles, Grid2d, SymmTileMatrix, Tile};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -100,35 +101,11 @@ pub struct CholeskyDag {
     pub tasks: Vec<CholeskyTask>,
 }
 
-/// Relative cost of one kernel instance, indexed by
-/// `[POTRF, TRSM, SYRK, GEMM]` — the weights of the critical-path pass.
-pub type KernelCosts = [i64; 4];
-
-/// Default weights: tile-kernel flop counts in units of `nb³/3`
-/// (POTRF `nb³/3`, TRSM `nb³`, SYRK `nb³`, GEMM `2nb³`).
-pub const DEFAULT_KERNEL_COSTS: KernelCosts = [1, 3, 3, 6];
-
-/// Cost of `kind` under `costs`.
-pub fn kernel_cost(costs: &KernelCosts, kind: KernelKind) -> i64 {
-    match kind {
-        KernelKind::Potrf => costs[0],
-        KernelKind::Trsm => costs[1],
-        KernelKind::Syrk => costs[2],
-        KernelKind::Gemm => costs[3],
-    }
-}
-
-/// Build the Algorithm 1 DAG for `nt × nt` tiles with the default kernel
-/// cost weights (see [`build_dag_with_costs`]).
-pub fn build_dag(nt: usize) -> CholeskyDag {
-    build_dag_with_costs(nt, &DEFAULT_KERNEL_COSTS)
-}
-
 /// Build the Algorithm 1 DAG for `nt × nt` tiles.
 ///
 /// Task priorities are the DAG's *weighted critical-path lengths*
-/// ([`TaskGraph::critical_path_lengths`]) under the caller-supplied
-/// per-kernel cost weights: a ready task outranks another exactly when
+/// ([`TaskGraph::critical_path_lengths`]) under the kernels' flop weights
+/// ([`KernelKind::weight`]): a ready task outranks another exactly when
 /// the chain of work its completion unlocks is longer. This subsumes the
 /// old static panel-first heuristic — POTRF/TRSM of iteration `k` sit on
 /// longer remaining chains than iteration `k+1` trailing updates, so the
@@ -139,8 +116,8 @@ pub fn build_dag(nt: usize) -> CholeskyDag {
 /// Each in-place update also carries an affinity hint naming the previous
 /// writer of its output tile, so the work-stealing scheduler dispatches it
 /// to the worker whose cache is hot.
-pub fn build_dag_with_costs(nt: usize, costs: &KernelCosts) -> CholeskyDag {
-    let ExecDag { graph, nodes } = ExecDag::build(nt, costs, false);
+pub fn build_dag(nt: usize) -> CholeskyDag {
+    let ExecDag { graph, nodes } = ExecDag::build(nt, false);
     let tasks = nodes.into_iter().filter_map(Node::kernel).collect();
     CholeskyDag { graph, tasks }
 }
@@ -163,23 +140,22 @@ impl Node {
 }
 
 /// The DAG [`run_attempt`] executes.
-pub(crate) struct ExecDag {
+struct ExecDag {
     graph: TaskGraph,
     nodes: Vec<Node>,
 }
 
 impl ExecDag {
-    /// The Algorithm 1 DAG of [`build_dag_with_costs`]. With
-    /// `panel_broadcasts`, step `k` also gets a [`Node::PanelBroadcast`]
-    /// that waits for column `k`'s TRSMs and precedes the step's SYRKs and
-    /// GEMMs; without, the graph, task ids and priorities are exactly
-    /// [`build_dag_with_costs`]'s.
-    pub(crate) fn build(nt: usize, costs: &KernelCosts, panel_broadcasts: bool) -> ExecDag {
+    /// The Algorithm 1 DAG of [`build_dag`]. With `panel_broadcasts`, step
+    /// `k` also gets a [`Node::PanelBroadcast`] that waits for column `k`'s
+    /// TRSMs and precedes the step's SYRKs and GEMMs; without, the graph,
+    /// task ids and priorities are exactly [`build_dag`]'s.
+    fn build(nt: usize, panel_broadcasts: bool) -> ExecDag {
         let mut graph = TaskGraph::with_capacity(nt * nt * nt / 6 + nt * nt);
         let mut nodes = Vec::new();
         // last writer of each tile (lower-packed)
         let mut last_write: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
-        let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
+        let idx = lower_index;
         // the task that finalized panel tile (m, k) (its TRSM), for reader deps
         let mut trsm_of: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
 
@@ -241,15 +217,15 @@ impl ExecDag {
         // Critical-path priorities: the weighted longest chain below each
         // task. A broadcast weighs like the cheapest kernel.
         let cp = graph.critical_path_lengths(|id| match nodes[id].kernel() {
-            Some(t) => kernel_cost(costs, t.kind()),
-            None => costs[0],
+            Some(t) => t.kind().weight(),
+            None => KernelKind::Potrf.weight(),
         });
         graph.set_priorities(&cp);
         ExecDag { graph, nodes }
     }
 
     /// The kernel of node `id` (`None` for a broadcast node).
-    pub(crate) fn task(&self, id: TaskId) -> Option<CholeskyTask> {
+    fn task(&self, id: TaskId) -> Option<CholeskyTask> {
         self.nodes[id].kernel()
     }
 }
@@ -293,12 +269,16 @@ pub struct FactorStats {
     pub sched_per_worker: Vec<WorkerStats>,
     /// Sum of `sched_per_worker` — the run's scheduler totals.
     pub sched_totals: WorkerStats,
+    /// Wire counters of a multi-rank grid, summed over attempts; `None` on
+    /// the 1×1 grid. Boxed: most runs have none, and the counters would
+    /// double the size of the stats.
+    pub wire: Option<Box<DistStats>>,
 }
 
 impl FactorStats {
     /// Add this run's counters to the metrics registry: `factor.*` for
-    /// the factorization itself and `scheduler.*` for the nested
-    /// executor's accumulated per-worker totals.
+    /// the factorization itself, `scheduler.*` for the nested executor's
+    /// accumulated per-worker totals and, on a multi-rank grid, `wire.*`.
     pub fn publish_metrics(&self) {
         static RUNS: obs::LazyCounter = obs::LazyCounter::new("factor.runs");
         static TASKS: obs::LazyCounter = obs::LazyCounter::new("factor.tasks_run");
@@ -319,6 +299,9 @@ impl FactorStats {
         CONV_AVOIDED.add(self.conversions_avoided);
         CONV_BYTES_AVOIDED.add(self.conversion_bytes_avoided);
         self.sched_totals.publish_metrics();
+        if let Some(w) = &self.wire {
+            w.publish_metrics();
+        }
     }
 
     /// Fraction of GEMM-operand conversions that STC eliminated:
@@ -394,6 +377,17 @@ pub enum FactorError {
     },
     /// A worker thread died outside task execution (scheduler bug).
     WorkerPanicked,
+    /// A cross-rank message failed through the whole retransmit budget.
+    WireFailed {
+        /// Source coordinates of the message's first tile frame.
+        i: usize,
+        j: usize,
+        /// Receiving rank that never got it.
+        rank: usize,
+        attempts: u32,
+    },
+    /// The precision map is not for the matrix's tile grid.
+    MapMismatch { map_nt: usize, matrix_nt: usize },
 }
 
 impl std::fmt::Display for FactorError {
@@ -419,13 +413,26 @@ impl std::fmt::Display for FactorError {
                 cause,
             } => write!(f, "{task} failed after {attempt} attempt(s): {cause}"),
             FactorError::WorkerPanicked => write!(f, "a worker thread panicked"),
+            FactorError::WireFailed {
+                i,
+                j,
+                rank,
+                attempts,
+            } => write!(
+                f,
+                "payload of tile ({i},{j}) to rank {rank} failed {attempts} transmission attempt(s)"
+            ),
+            FactorError::MapMismatch { map_nt, matrix_nt } => write!(
+                f,
+                "precision map has {map_nt} tile rows, the matrix {matrix_nt}"
+            ),
         }
     }
 }
 
 impl std::error::Error for FactorError {}
 
-/// Configuration of the fault-tolerant factorization driver.
+/// Configuration of [`factorize`].
 #[derive(Debug, Clone)]
 pub struct FactorOptions {
     /// DAG workers (1 = the deterministic serial scheduler).
@@ -450,6 +457,11 @@ pub struct FactorOptions {
     /// path sets this so each retry re-narrows `Σ` fresh from FP64 under
     /// the escalated map.
     pub renarrow_storage: bool,
+    /// The rank grid the tiles are placed on (owner-computes, 2D
+    /// block-cyclic). 1×1 is shared memory.
+    pub grid: Grid2d,
+    /// Wire precision of cross-rank payloads on a multi-rank grid.
+    pub wire: WirePolicy,
 }
 
 impl Default for FactorOptions {
@@ -461,6 +473,8 @@ impl Default for FactorOptions {
             faults: FaultPlan::none(),
             retry: RetryPolicy::default(),
             renarrow_storage: false,
+            grid: Grid2d::new(1, 1),
+            wire: WirePolicy::Auto,
         }
     }
 }
@@ -472,12 +486,25 @@ impl FactorOptions {
             ..Default::default()
         }
     }
+
+    /// A single fault-free attempt: no finite checks, no task retry, and
+    /// the first breakdown exhausts the empty escalation budget.
+    pub fn single_shot(nthreads: usize) -> Self {
+        FactorOptions {
+            nthreads,
+            escalation_budget: 0,
+            finite_checks: false,
+            retry: RetryPolicy::no_retry(),
+            ..Default::default()
+        }
+    }
 }
 
-/// Factor `a` in place under `pmap` using `nthreads` workers (1 = the
-/// deterministic serial scheduler). Returns stats; the matrix holds `L`
-/// tile-wise (each tile in its storage precision) on success, and is left
-/// untouched on a breakdown.
+/// Factor `a` in place under `pmap`: Algorithm 1 on `opts.nthreads`
+/// workers (1 = the deterministic serial scheduler), its tiles placed on
+/// `opts.grid`, wrapped in the recovery loop of the mixed-precision
+/// literature. Returns stats; the matrix holds `L` tile-wise (each tile in
+/// its storage precision) on success, and is left untouched on any error.
 ///
 /// # Data path
 ///
@@ -495,91 +522,94 @@ impl FactorOptions {
 /// two-time conversion at every consumer). Buffers are freed as soon as the
 /// last consumer has run. Cached and locally-quantized operands go through
 /// the same rounding routine, so STC never changes a bit of the result.
-pub fn factorize_mp(
-    a: &mut SymmTileMatrix,
-    pmap: &PrecisionMap,
-    nthreads: usize,
-) -> Result<FactorStats, NotSpd> {
-    // The recovering engine with no recovery: no finite checks, no task
-    // retry, and the first breakdown exhausts the empty escalation budget.
-    // A genuine worker panic still propagates as a panic.
-    match factorize_mp_recovering(a, pmap, &single_shot_options(nthreads)) {
-        Ok(stats) => Ok(stats),
-        Err(FactorError::NotSpd(e)) => Err(e),
-        Err(FactorError::EscalationExhausted { last, .. }) => Err(NotSpd {
-            column: last.tile.0 * a.nb(),
-        }),
-        Err(e) => panic!("worker panicked during factorization: {e}"),
-    }
-}
-
-/// The options of a single fault-free attempt: [`factorize_mp`]'s and the
-/// distributed factorization's.
-pub(crate) fn single_shot_options(nthreads: usize) -> FactorOptions {
-    FactorOptions {
-        nthreads,
-        escalation_budget: 0,
-        finite_checks: false,
-        retry: RetryPolicy::no_retry(),
-        ..Default::default()
-    }
-}
-
-/// Fault-tolerant factorization: the engine's attempts wrapped in the
-/// recovery loop of the mixed-precision literature ([`factorize_mp`] is
-/// this loop with no budget). A breakdown (non-SPD pivot, or
-/// NaN/Inf caught by the post-kernel health check) escalates the offending
-/// tile's row/column one level toward FP64 in a working copy of the
-/// precision map (the whole map, when that cross is already FP64),
-/// re-plans conversions, and runs another attempt — bounded by
+///
+/// # Placement
+///
+/// On a grid with more than one rank every attempt builds its own ranks:
+/// cross-rank reads travel as packed wire messages at `opts.wire`
+/// precision ([`crate::distributed`]), with drops and garbles from
+/// `opts.faults` retransmitted under `opts.retry`. A message that fails
+/// its whole retransmit budget ends the run with
+/// [`FactorError::WireFailed`]. The wire counters of all attempts are
+/// summed into [`FactorStats::wire`].
+///
+/// # Recovery
+///
+/// A breakdown (non-SPD pivot, or NaN/Inf caught by the post-kernel health
+/// check) escalates the offending tile's row/column one level toward FP64
+/// in a working copy of the precision map (the whole map, when that cross
+/// is already FP64) and runs another attempt — bounded by
 /// `opts.escalation_budget` — while task panics are retried by the runtime
 /// under `opts.retry`. Every recovery action is recorded in the returned
 /// [`FactorStats`] (`factor_attempts`, `escalations`, `task_retries`).
+/// [`FactorOptions::single_shot`] is one attempt with no recovery.
 ///
 /// Failure choice is deterministic: kernels are bit-reproducible across
 /// schedules, and the loop recovers the breakdown with the smallest task
 /// id, so serial and parallel runs take the same escalation path.
 ///
-/// The tile cells live across attempts. A non-SPD pivot at `POTRF(k)`
-/// whose cross escalation moved a tile *resumes*: the next attempt keeps
-/// the cells, re-derives only row and column `k` from `a` and reruns only
-/// the tasks that write them before step `k`, then every task from step
-/// `k` on. Any other recovery (a whole-map escalation, a non-finite or an
-/// injected failure) restarts from `a`. Either way the factor and the
-/// escalation trail are those of restarting every attempt from `a`, except
-/// that a fault plan can corrupt only the tasks an attempt runs.
-pub fn factorize_mp_recovering(
+/// The tile cells live across attempts. On the 1×1 grid, a non-SPD pivot
+/// at `POTRF(k)` whose cross escalation moved a tile *resumes*: the next
+/// attempt keeps the cells, re-derives only row and column `k` from `a`
+/// and reruns only the tasks that write them before step `k`, then every
+/// task from step `k` on. Any other recovery (a whole-map escalation, a
+/// non-finite or an injected failure, any breakdown on a multi-rank grid)
+/// restarts from `a`: a resumed attempt skips `POTRF(k')` for `k' < k`, so
+/// a fresh inbox would never receive `L_k'k'`. Either way the factor and
+/// the escalation trail are those of restarting every attempt from `a`,
+/// except that a fault plan can corrupt only the tasks an attempt runs.
+pub fn factorize(
     a: &mut SymmTileMatrix,
     pmap: &PrecisionMap,
     opts: &FactorOptions,
 ) -> Result<FactorStats, FactorError> {
     let nt = a.nt();
-    assert_eq!(pmap.nt(), nt, "precision map / matrix mismatch");
-    let dag = ExecDag::build(nt, &DEFAULT_KERNEL_COSTS, false);
+    if pmap.nt() != nt {
+        return Err(FactorError::MapMismatch {
+            map_nt: pmap.nt(),
+            matrix_nt: nt,
+        });
+    }
+    // One rank is shared memory: no broadcast nodes, no inbox.
+    let on_grid = opts.grid.nranks() > 1;
+    let dag = ExecDag::build(nt, on_grid);
     let mut map = pmap.clone();
     let mut cells = load_cells(a, &map, opts.renarrow_storage);
     let mut resume = None;
     let mut escalations: Vec<EscalationEvent> = Vec::new();
     let mut work = AttemptWork::default();
+    let mut wire = DistStats::default();
     let t0 = std::time::Instant::now();
     let mut factor_attempt = 0u32;
     loop {
         factor_attempt += 1;
         let sp = obs::span_start();
-        let attempt = run_attempt(&cells, &dag, &map, opts, factor_attempt, resume, None);
+        let ranks = on_grid.then(|| Ranks::new(&map, opts, std::mem::take(&mut wire)));
+        let attempt = run_attempt(
+            &cells,
+            &dag,
+            &map,
+            opts,
+            factor_attempt,
+            resume,
+            ranks.as_ref(),
+        );
         obs::span_end(sp, obs::EventKind::FactorAttempt, factor_attempt as u64);
         let out = attempt?;
+        if let Some(r) = ranks {
+            wire = r.finish()?;
+        }
         work.accumulate(&out.work);
         let Some((task_idx, cause)) = out.first_failure() else {
             write_back(a, cells, &map);
             return Ok(finish_stats(
                 &dag,
-                &map,
-                a.nb(),
+                map.storage_bytes(a.nb()),
                 t0,
                 work,
                 factor_attempt,
                 escalations,
+                on_grid.then(|| Box::new(wire)),
             ));
         };
         let task = dag.task(task_idx).expect("only kernels break down");
@@ -591,7 +621,7 @@ pub fn factorize_mp_recovering(
             0
         } else {
             let mut changed = map.escalate_cross(tile.0, tile.1);
-            if changed > 0 && cause == BreakdownCause::NotSpd {
+            if changed > 0 && cause == BreakdownCause::NotSpd && !on_grid {
                 // Only POTRF(k) reports a non-SPD pivot, and its
                 // descendants are every task after it: the cells hold
                 // steps 0..k, which the escalation changed only in the
@@ -640,11 +670,9 @@ pub fn factorize_mp_recovering(
     }
 }
 
-/// The coordinates of the lower-triangular tiles in packed order: the
-/// order of the cells, `cells[i(i+1)/2 + j]` holding tile `(i, j)`.
-fn lower_tiles(nt: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j)))
-}
+/// Kept for `likbench/`, which calls it by this name; delete with the next
+/// benchmark-side change.
+pub use factorize as factorize_mp_recovering;
 
 /// The cell tile `(i, j)` starts an attempt from: a copy of the caller's
 /// tile. With `renarrow`, the map's storage prescription is applied to it —
@@ -666,12 +694,9 @@ fn fresh_cell(
     })
 }
 
-/// Every cell of a first attempt, one per lower tile of `a`.
-pub(crate) fn load_cells(
-    a: &SymmTileMatrix,
-    pmap: &PrecisionMap,
-    renarrow: bool,
-) -> Vec<RwLock<Tile>> {
+/// Every cell of a first attempt, one per lower tile of `a`, in packed
+/// order ([`lower_index`]).
+fn load_cells(a: &SymmTileMatrix, pmap: &PrecisionMap, renarrow: bool) -> Vec<RwLock<Tile>> {
     lower_tiles(a.nt())
         .map(|(i, j)| fresh_cell(a, pmap, renarrow, i, j))
         .collect()
@@ -679,7 +704,7 @@ pub(crate) fn load_cells(
 
 /// Move a clean attempt's factor into `a`, each tile converted to the
 /// storage of its map entry.
-pub(crate) fn write_back(a: &mut SymmTileMatrix, cells: Vec<RwLock<Tile>>, pmap: &PrecisionMap) {
+fn write_back(a: &mut SymmTileMatrix, cells: Vec<RwLock<Tile>>, pmap: &PrecisionMap) {
     for (cell, (i, j)) in cells.into_iter().zip(lower_tiles(pmap.nt())) {
         let tile = cell.into_inner().unwrap_or_else(|e| e.into_inner());
         *a.tile_mut(i, j) = tile.converted_to(pmap.storage(i, j));
@@ -717,7 +742,7 @@ impl AttemptWork {
 }
 
 /// Result of one factorization attempt over the DAG.
-pub(crate) struct AttemptOutcome {
+struct AttemptOutcome {
     /// Breakdowns observed, sorted by task id (empty = clean attempt: the
     /// cells hold the factor).
     failures: Vec<(TaskId, BreakdownCause)>,
@@ -729,7 +754,7 @@ impl AttemptOutcome {
     /// the recovery loop acts on (task ids are schedule-independent, and
     /// downstream NaN propagation always lands on larger ids than its
     /// root cause).
-    pub(crate) fn first_failure(&self) -> Option<(TaskId, BreakdownCause)> {
+    fn first_failure(&self) -> Option<(TaskId, BreakdownCause)> {
         self.failures.first().copied()
     }
 }
@@ -751,11 +776,12 @@ impl AttemptOutcome {
 ///
 /// `ranks` places the tiles on a multi-rank grid (owner-computes): a task
 /// reads a tile another rank owns from its own rank's inbox slot, filled by
-/// the owner's broadcast (`dag` must then carry the broadcast nodes). There
-/// a breakdown or a failed broadcast halts the attempt, since the ranks
-/// downstream would wait for payloads that are never sent. `None` is shared
-/// memory, the 1×1 grid.
-pub(crate) fn run_attempt(
+/// the owner's broadcast (`dag` must then carry the broadcast nodes). A
+/// failed broadcast halts the attempt, since the ranks downstream would
+/// wait for payloads that are never sent; a skipped broadcast's readers
+/// are its descendants, so they skip too. `None` is shared memory, the 1×1
+/// grid.
+fn run_attempt(
     cells: &[RwLock<Tile>],
     dag: &ExecDag,
     pmap: &PrecisionMap,
@@ -767,7 +793,7 @@ pub(crate) fn run_attempt(
     let nt = pmap.nt();
     let nthreads = opts.nthreads;
     let ncells = cells.len();
-    let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
+    let idx = lower_index;
     let failures: Mutex<Vec<(TaskId, BreakdownCause)>> = Mutex::new(Vec::new());
     // The smallest failure so far. A failure is recorded before its task
     // completes, and the scheduler's dependency release orders that before
@@ -777,9 +803,6 @@ pub(crate) fn run_attempt(
     let record_failure = |task_idx: TaskId, cause: BreakdownCause| {
         lock_pt(&failures).push((task_idx, cause));
         first_failure.fetch_min(task_idx, Ordering::AcqRel);
-        if let Some(r) = ranks {
-            r.halt();
-        }
     };
     let halted = || ranks.is_some_and(Ranks::halted);
 
@@ -818,7 +841,7 @@ pub(crate) fn run_attempt(
 
     // Post-kernel health pass on the task's output tile: corruption
     // injection first (a deterministic function of (plan, task, factor
-    // attempt)), then the finite probe.
+    // attempt)), then the finite probe. False when it recorded a failure.
     let check_output = |task_idx: TaskId, t: &CholeskyTask| {
         let (oi, oj) = t.output_tile();
         let mut injected = false;
@@ -840,7 +863,9 @@ pub(crate) fn run_attempt(
                     BreakdownCause::NonFinite
                 },
             );
+            return false;
         }
+        true
     };
 
     let run_task = |ws: &mut Workspace, task_idx: TaskId| {
@@ -871,11 +896,13 @@ pub(crate) fn run_attempt(
                     return;
                 }
                 drop(c);
-                check_output(task_idx, &t);
                 // L_kk is one frame: its broadcast to the column's TRSM
-                // owners runs right here.
-                if let Some(r) = ranks {
-                    r.broadcast_diag(k, cells, ws);
+                // owners runs right here, unless it broke down (the
+                // receivers' integrity check would reject it).
+                if check_output(task_idx, &t) {
+                    if let Some(r) = ranks {
+                        r.broadcast_diag(k, cells, ws);
+                    }
                 }
             }
             CholeskyTask::Trsm { m, k } => {
@@ -1011,17 +1038,17 @@ pub(crate) fn run_attempt(
     })
 }
 
-/// Assemble the [`FactorStats`] of a successful run.
+/// Assemble and publish the [`FactorStats`] of a successful run;
+/// `storage_bytes` are the final map's mixed-precision and FP64 bytes.
 fn finish_stats(
     dag: &ExecDag,
-    pmap: &PrecisionMap,
-    nb: usize,
+    (mp_bytes, fp64_bytes): (u64, u64),
     t0: std::time::Instant,
     work: AttemptWork,
     factor_attempts: u32,
     escalations: Vec<EscalationEvent>,
+    wire: Option<Box<DistStats>>,
 ) -> FactorStats {
-    let (mp_bytes, fp64_bytes) = pmap.storage_bytes(nb);
     let mut counts = [0usize; 4];
     for t in dag.nodes.iter().filter_map(|n| n.kernel()) {
         match t.kind() {
@@ -1049,6 +1076,7 @@ fn finish_stats(
         task_retries: work.task_retries,
         sched_per_worker: work.sched,
         sched_totals,
+        wire,
     };
     stats.publish_metrics();
     stats
@@ -1153,7 +1181,7 @@ mod tests {
         let dense = a0.to_dense_symmetric();
         let mut a = a0.clone();
         let m = uniform_map(a.nt(), Precision::Fp64);
-        let stats = factorize_mp(&mut a, &m, 1).unwrap();
+        let stats = factorize(&mut a, &m, &FactorOptions::single_shot(1)).unwrap();
         assert_eq!(stats.tasks_run, 3 + 6 + 1); // nt=3: 3 potrf + 3 trsm + 3 syrk + 1 gemm
         let l = a.to_dense_lower();
         let err = reconstruction_error(&dense, &l);
@@ -1168,8 +1196,8 @@ mod tests {
         let mut a1 = spd_matrix(n, 16);
         let mut a2 = a1.clone();
         let m = uniform_map(a1.nt(), Precision::Fp64);
-        factorize_mp(&mut a1, &m, 1).unwrap();
-        factorize_mp(&mut a2, &m, 4).unwrap();
+        factorize(&mut a1, &m, &FactorOptions::single_shot(1)).unwrap();
+        factorize(&mut a2, &m, &FactorOptions::single_shot(4)).unwrap();
         for i in 0..n {
             for j in 0..=i {
                 assert_eq!(a1.get(i, j), a2.get(i, j), "({i},{j})");
@@ -1185,7 +1213,7 @@ mod tests {
         let err_of = |p: Precision| {
             let mut a = a0.clone();
             let m = uniform_map(a.nt(), p);
-            factorize_mp(&mut a, &m, 2).unwrap();
+            factorize(&mut a, &m, &FactorOptions::single_shot(2)).unwrap();
             reconstruction_error(&dense, &a.to_dense_lower())
         };
         let e64 = err_of(Precision::Fp64);
@@ -1206,7 +1234,7 @@ mod tests {
         let err_at = |u_req: f64| {
             let m = PrecisionMap::from_norms(&norms, u_req, &Precision::ADAPTIVE_SET);
             let mut a = a0.clone();
-            factorize_mp(&mut a, &m, 2).unwrap();
+            factorize(&mut a, &m, &FactorOptions::single_shot(2)).unwrap();
             reconstruction_error(&dense, &a.to_dense_lower())
         };
         let tight = err_at(1e-14);
@@ -1223,15 +1251,45 @@ mod tests {
             |i, j| if i == j { -1.0 } else { 0.0 },
             |_, _| StoragePrecision::F64,
         );
-        let err = factorize_mp(&mut a, &uniform_map(2, Precision::Fp64), 2).unwrap_err();
+        let opts = FactorOptions::single_shot(2);
+        let Err(FactorError::NotSpd(err)) =
+            factorize(&mut a, &uniform_map(2, Precision::Fp64), &opts)
+        else {
+            panic!("an indefinite matrix under an FP64 map must be NotSpd");
+        };
         assert_eq!(err.column, 0);
+    }
+
+    #[test]
+    fn map_for_another_tile_grid_is_a_typed_error() {
+        let a0 = spd_matrix(64, 16);
+        let mut a = a0.clone();
+        let err = factorize(
+            &mut a,
+            &uniform_map(3, Precision::Fp64),
+            &FactorOptions::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            FactorError::MapMismatch {
+                map_nt: 3,
+                matrix_nt: 4
+            }
+        );
+        assert!(err.to_string().contains("3 tile rows"), "{err}");
+        for i in 0..64 {
+            for j in 0..=i {
+                assert_eq!(a.get(i, j).to_bits(), a0.get(i, j).to_bits(), "({i},{j})");
+            }
+        }
     }
 
     #[test]
     fn factor_tiles_keep_storage_precision() {
         let mut a = spd_matrix(64, 16);
         let m = uniform_map(a.nt(), Precision::Fp16);
-        factorize_mp(&mut a, &m, 1).unwrap();
+        factorize(&mut a, &m, &FactorOptions::single_shot(1)).unwrap();
         assert_eq!(a.tile(0, 0).storage(), StoragePrecision::F64);
         assert_eq!(a.tile(2, 0).storage(), StoragePrecision::F32);
     }
@@ -1239,14 +1297,24 @@ mod tests {
     #[test]
     fn storage_savings_reported() {
         let mut a = spd_matrix(64, 16);
-        let stats = factorize_mp(&mut a, &uniform_map(4, Precision::Fp16), 1).unwrap();
+        let stats = factorize(
+            &mut a,
+            &uniform_map(4, Precision::Fp16),
+            &FactorOptions::single_shot(1),
+        )
+        .unwrap();
         assert!(stats.storage_bytes_mp < stats.storage_bytes_fp64);
     }
 
     #[test]
     fn fp64_map_needs_no_conversions() {
         let mut a = spd_matrix(64, 16);
-        let stats = factorize_mp(&mut a, &uniform_map(4, Precision::Fp64), 2).unwrap();
+        let stats = factorize(
+            &mut a,
+            &uniform_map(4, Precision::Fp64),
+            &FactorOptions::single_shot(2),
+        )
+        .unwrap();
         assert_eq!(stats.conversions_performed, 0);
         assert_eq!(stats.conversions_avoided, 0);
         assert_eq!(stats.stc_avoidance_ratio(), 0.0);
@@ -1261,7 +1329,12 @@ mod tests {
 
         // uniform reduced map: every GEMM operand comes from the cache
         let mut a = a0.clone();
-        let stats = factorize_mp(&mut a, &uniform_map(nt, Precision::Fp16x32), 1).unwrap();
+        let stats = factorize(
+            &mut a,
+            &uniform_map(nt, Precision::Fp16x32),
+            &FactorOptions::single_shot(1),
+        )
+        .unwrap();
         let ngemm = stats.kernel_counts[3] as u64;
         assert_eq!(stats.conversions_avoided, 2 * ngemm, "every operand cached");
         assert!(
@@ -1280,7 +1353,7 @@ mod tests {
             .flat_map(|i| (0..i).map(move |j| (i, j)))
             .any(|(i, j)| pmap.kernel(i, j) != Precision::Fp64);
         let mut a = a0.clone();
-        let stats = factorize_mp(&mut a, &pmap, 4).unwrap();
+        let stats = factorize(&mut a, &pmap, &FactorOptions::single_shot(4)).unwrap();
         if has_reduced_gemm {
             assert!(
                 stats.stc_avoidance_ratio() > 0.5,
@@ -1302,8 +1375,8 @@ mod tests {
             let mut a1 = spd_matrix(n, 16);
             let mut a2 = a1.clone();
             let m = uniform_map(a1.nt(), p);
-            factorize_mp(&mut a1, &m, 1).unwrap();
-            factorize_mp(&mut a2, &m, 4).unwrap();
+            factorize(&mut a1, &m, &FactorOptions::single_shot(1)).unwrap();
+            factorize(&mut a2, &m, &FactorOptions::single_shot(4)).unwrap();
             for i in 0..n {
                 for j in 0..=i {
                     assert_eq!(a1.get(i, j), a2.get(i, j), "{p:?} ({i},{j})");

@@ -9,9 +9,10 @@
 //! 2. [`conversion`] — Algorithm 2: derive the per-tile communication
 //!    precision and the STC/TTC decision for every POTRF/TRSM broadcast
 //!    (Fig 4).
-//! 3. [`factorize`] — Algorithm 1 executed for real on the task runtime
+//! 3. [`factorize()`] — Algorithm 1 executed for real on the task runtime
 //!    with per-tile-precision kernels (numerical mode: genuine arithmetic,
-//!    used by the accuracy studies of Figs 5–7).
+//!    used by the accuracy studies of Figs 5–7), on one rank or a grid of
+//!    them ([`distributed`]), with precision-escalation recovery.
 //! 4. [`simulate`] — the same DAG replayed on the GPU-cluster simulator
 //!    with precision-tagged payloads (performance mode: Table II,
 //!    Figs 8–12).
@@ -32,11 +33,9 @@ pub mod wire;
 
 pub use band_map::{banded_map, banded_map_matching_storage};
 pub use conversion::{plan_conversions, wire_of, ConversionPlan, WirePolicy};
-pub use distributed::{
-    factorize_mp_distributed, factorize_mp_distributed_ft, DistError, DistStats,
-};
+pub use distributed::{factorize_mp_distributed, DistStats};
 pub use factorize::{
-    factorize_mp, factorize_mp_recovering, BreakdownCause, EscalationEvent, FactorError,
+    factorize, factorize_mp_recovering, BreakdownCause, EscalationEvent, FactorError,
     FactorOptions, FactorStats,
 };
 pub use mle::MpBackend;

@@ -3,7 +3,7 @@
 //! application pipeline of the paper — every likelihood evaluation builds
 //! `Σ(θ)` tile-wise under the precision map and factors it with Algorithm 1).
 
-use crate::factorize::{factorize_mp_recovering, FactorError, FactorOptions, FactorStats};
+use crate::factorize::{factorize, FactorError, FactorOptions, FactorStats};
 use crate::precision_map::PrecisionMap;
 use mixedp_fp::Precision;
 use mixedp_geostats::assemble::covariance_tiles;
@@ -77,7 +77,8 @@ impl MpBackend {
     /// (`stats.escalations`, `stats.factor_attempts`). A rejected
     /// evaluation (`None`) bumps the metrics counter
     /// `mle.rejected.<cause>`, with cause `not_spd`, `non_finite`,
-    /// `exhausted`, `task_failed`, `bad_diagonal` or `nonfinite_quadform`.
+    /// `exhausted`, `task_failed`, `wire_failed`, `map_mismatch`,
+    /// `bad_diagonal` or `nonfinite_quadform`.
     pub fn loglik_detailed(
         &self,
         model: &dyn CovarianceModel,
@@ -128,13 +129,15 @@ impl MpBackend {
             renarrow_storage: true,
             ..Default::default()
         };
-        match factorize_mp_recovering(&mut sigma, &pmap, &opts) {
+        match factorize(&mut sigma, &pmap, &opts) {
             Ok(stats) => Ok((sigma, stats)),
             Err(e) => Err(match e {
                 FactorError::NotSpd(_) => "not_spd",
                 FactorError::NonFinite { .. } => "non_finite",
                 FactorError::EscalationExhausted { .. } => "exhausted",
                 FactorError::TaskFailed { .. } | FactorError::WorkerPanicked => "task_failed",
+                FactorError::WireFailed { .. } => "wire_failed",
+                FactorError::MapMismatch { .. } => "map_mismatch",
             }),
         }
     }

@@ -12,14 +12,14 @@
 //! in FP64 (they carry the strongest correlations and feed POTRF/SYRK).
 
 use mixedp_fp::{escalate, storage_precision_of, Precision, StoragePrecision};
-use mixedp_tile::NormMap;
+use mixedp_tile::{lower_index, NormMap};
 use serde::{Deserialize, Serialize};
 
 /// Per-tile kernel precisions (Fig 2a) and the induced storage map (Fig 2b).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PrecisionMap {
     nt: usize,
-    /// Lower-packed kernel precision per tile, `i*(i+1)/2 + j`.
+    /// Lower-packed kernel precision per tile ([`lower_index`]).
     kernel: Vec<Precision>,
 }
 
@@ -75,7 +75,7 @@ impl PrecisionMap {
     /// Kernel precision of tile `(i, j)` (`i ≥ j`).
     pub fn kernel(&self, i: usize, j: usize) -> Precision {
         debug_assert!(j <= i, "precision map is lower-triangular");
-        self.kernel[i * (i + 1) / 2 + j]
+        self.kernel[lower_index(i, j)]
     }
 
     /// Storage precision of tile `(i, j)` (Fig 2b).
@@ -115,7 +115,7 @@ impl PrecisionMap {
     /// tile actually moved (FP64 is the fixed point).
     pub fn escalate_tile(&mut self, i: usize, j: usize) -> bool {
         debug_assert!(j <= i, "precision map is lower-triangular");
-        let k = i * (i + 1) / 2 + j;
+        let k = lower_index(i, j);
         let next = escalate(self.kernel[k]);
         let moved = next != self.kernel[k];
         self.kernel[k] = next;

@@ -71,7 +71,7 @@ impl std::error::Error for RefineError {}
 /// Solve `Σ x = b` by iterative refinement.
 ///
 /// * `l_mp` — the mixed-precision tile factor of `Σ` (from
-///   [`crate::factorize::factorize_mp`]).
+///   [`crate::factorize::factorize`]).
 /// * `sigma` — the *original* matrix in full precision (for residuals);
 ///   kept as a closure `matvec(v) -> Σv` so callers can supply a dense
 ///   matrix, the tiled original, or a matrix-free operator.
@@ -142,7 +142,7 @@ pub fn solve_refined(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factorize::factorize_mp;
+    use crate::factorize::{factorize, FactorOptions};
     use crate::precision_map::{uniform_map, PrecisionMap};
     use mixedp_fp::{Precision, StoragePrecision};
     use mixedp_tile::{tile_fro_norms, DenseMatrix, SymmTileMatrix};
@@ -155,7 +155,7 @@ mod tests {
 
     fn factor_under(a: &DenseMatrix, nb: usize, pmap: &PrecisionMap) -> SymmTileMatrix {
         let mut t = SymmTileMatrix::from_dense(a, nb, StoragePrecision::F64);
-        factorize_mp(&mut t, pmap, 2).unwrap();
+        factorize(&mut t, pmap, &FactorOptions::single_shot(2)).unwrap();
         t
     }
 

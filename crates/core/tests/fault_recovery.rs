@@ -5,8 +5,7 @@
 
 use mixedp_core::factorize::build_dag;
 use mixedp_core::{
-    factorize_mp, factorize_mp_recovering, uniform_map, BreakdownCause, FactorError, FactorOptions,
-    PrecisionMap,
+    factorize, uniform_map, BreakdownCause, FactorError, FactorOptions, PrecisionMap,
 };
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_kernels::reconstruction_error;
@@ -41,19 +40,23 @@ fn aggressive_map_recovers_via_escalation_where_classic_path_dies() {
 
     // FP64 reference factors cleanly: the matrix IS positive definite.
     let mut ref64 = a0.clone();
-    factorize_mp(&mut ref64, &uniform_map(a0.nt(), Precision::Fp64), 1)
-        .expect("FP64 reference must factor");
+    factorize(
+        &mut ref64,
+        &uniform_map(a0.nt(), Precision::Fp64),
+        &FactorOptions::single_shot(1),
+    )
+    .expect("FP64 reference must factor");
 
     // The classic fail-on-first-breakdown path dies under the map.
     let mut broken = a0.clone();
     assert!(
-        factorize_mp(&mut broken, &pmap, 1).is_err(),
+        factorize(&mut broken, &pmap, &FactorOptions::single_shot(1)).is_err(),
         "this map must break the classic path for the test to mean anything"
     );
 
     // The recovering path escalates the implicated tiles and completes.
     let mut l = a0.clone();
-    let stats = factorize_mp_recovering(&mut l, &pmap, &FactorOptions::default())
+    let stats = factorize(&mut l, &pmap, &FactorOptions::default())
         .expect("escalation must rescue the factorization");
     assert!(stats.factor_attempts > 1);
     assert!(!stats.escalations.is_empty());
@@ -90,17 +93,27 @@ fn breakdown_under_an_fp64_cross_escalates_the_whole_map() {
         }
     });
     let mut broken = a0.clone();
+    let Err(FactorError::EscalationExhausted { last, .. }) =
+        factorize(&mut broken, &pmap, &FactorOptions::single_shot(1))
+    else {
+        panic!("a single attempt under this map must break down");
+    };
     assert_eq!(
-        factorize_mp(&mut broken, &pmap, 1).unwrap_err().column,
+        last.tile.0 * nb,
         k * nb,
         "the first breakdown must be POTRF({k}) under its FP64 cross"
     );
 
     let mut ref64 = a0.clone();
-    factorize_mp(&mut ref64, &uniform_map(nt, Precision::Fp64), 1).unwrap();
+    factorize(
+        &mut ref64,
+        &uniform_map(nt, Precision::Fp64),
+        &FactorOptions::single_shot(1),
+    )
+    .unwrap();
     for nthreads in [1usize, 4] {
         let mut l = a0.clone();
-        let stats = factorize_mp_recovering(&mut l, &pmap, &FactorOptions::with_threads(nthreads))
+        let stats = factorize(&mut l, &pmap, &FactorOptions::with_threads(nthreads))
             .expect("escalating the whole map must rescue an SPD matrix");
         let first = &stats.escalations[0];
         assert_eq!(first.tile, (k, k));
@@ -169,7 +182,7 @@ fn resumed_escalation_matches_whole_dag_replay() {
                 };
                 let case = format!("n={n} nb={nb} workers={nthreads} renarrow={renarrow_storage}");
                 let mut l = a0.clone();
-                let stats = factorize_mp_recovering(&mut l, &pmap, &opts).unwrap();
+                let stats = factorize(&mut l, &pmap, &opts).unwrap();
                 assert!(stats.escalations.len() >= 2, "{case}: trail too short");
                 let steps: Vec<(usize, usize)> = stats.escalations.iter().map(|e| e.tile).collect();
                 repeated_step |= steps.windows(2).any(|w| w[0] == w[1]);
@@ -187,7 +200,7 @@ fn resumed_escalation_matches_whole_dag_replay() {
                 let mut map = pmap.clone();
                 for e in &stats.escalations {
                     let mut fresh = a0.clone();
-                    match factorize_mp_recovering(&mut fresh, &map, &single) {
+                    match factorize(&mut fresh, &map, &single) {
                         Err(FactorError::EscalationExhausted { last, .. }) => {
                             assert_eq!(
                                 (last.task, last.tile, last.cause, last.escalated_tiles),
@@ -205,7 +218,7 @@ fn resumed_escalation_matches_whole_dag_replay() {
                     assert_eq!(changed, e.escalated_tiles, "{case}");
                 }
                 let mut fresh = a0.clone();
-                let last = factorize_mp_recovering(&mut fresh, &map, &single)
+                let last = factorize(&mut fresh, &map, &single)
                     .unwrap_or_else(|e| panic!("{case}: final map must factor: {e}"));
                 assert_eq!(last.factor_attempts, 1);
                 assert_eq!(lower_bits(&fresh), lower_bits(&l), "{case}: factor bits");
@@ -224,7 +237,7 @@ fn genuinely_indefinite_matrix_is_not_rescued() {
     let a = DenseMatrix::from_fn(n, n, |i, j| if i == j { -1.0 } else { 0.0 });
     let mut t = SymmTileMatrix::from_dense(&a, nb, StoragePrecision::F64);
     let pmap = uniform_map(t.nt(), Precision::Fp64);
-    match factorize_mp_recovering(&mut t, &pmap, &FactorOptions::default()) {
+    match factorize(&mut t, &pmap, &FactorOptions::default()) {
         Err(FactorError::NotSpd(e)) => assert_eq!(e.column, 0),
         other => panic!("expected NotSpd, got {other:?}"),
     }
@@ -244,7 +257,7 @@ fn persistent_injected_panic_becomes_structured_task_failure() {
     };
     for nthreads in [1usize, 4] {
         let mut l = a0.clone();
-        let err = factorize_mp_recovering(
+        let err = factorize(
             &mut l,
             &pmap,
             &FactorOptions {
@@ -278,12 +291,11 @@ fn transient_corruption_is_rerun_without_charging_the_precision_map() {
     let pmap = uniform_map(a0.nt(), Precision::Fp32);
 
     let mut clean = a0.clone();
-    let clean_stats =
-        factorize_mp_recovering(&mut clean, &pmap, &FactorOptions::default()).unwrap();
+    let clean_stats = factorize(&mut clean, &pmap, &FactorOptions::default()).unwrap();
     assert_eq!(clean_stats.factor_attempts, 1);
 
     let mut l = a0.clone();
-    let stats = factorize_mp_recovering(
+    let stats = factorize(
         &mut l,
         &pmap,
         &FactorOptions {
@@ -313,7 +325,7 @@ fn fingerprint(
     opts: &FactorOptions,
 ) -> Result<(Vec<u64>, u32, Vec<String>, u64), String> {
     let mut l = a0.clone();
-    match factorize_mp_recovering(&mut l, pmap, opts) {
+    match factorize(&mut l, pmap, opts) {
         Ok(stats) => {
             let n = a0.n();
             let mut bits = Vec::with_capacity(n * (n + 1) / 2);

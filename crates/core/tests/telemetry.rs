@@ -14,8 +14,8 @@
 //! registry, and the metric registry are process-global.
 
 use mixedp_core::{
-    factorize_mp, factorize_mp_distributed, uniform_map, validate_run_report, RunReport,
-    WirePolicy, RUN_REPORT_VERSION,
+    factorize, uniform_map, validate_run_report, FactorOptions, RunReport, WirePolicy,
+    RUN_REPORT_VERSION,
 };
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_obs as obs;
@@ -38,7 +38,7 @@ fn spd_matrix(n: usize, nb: usize) -> SymmTileMatrix {
 fn factor_bits(a0: &SymmTileMatrix, nt: usize, threads: usize) -> Vec<u64> {
     let m = uniform_map(nt, Precision::Fp16x32);
     let mut a = a0.clone();
-    factorize_mp(&mut a, &m, threads).expect("factorization");
+    factorize(&mut a, &m, &FactorOptions::single_shot(threads)).expect("factorization");
     let n = a0.n();
     let mut bits = Vec::with_capacity(n * (n + 1) / 2);
     for i in 0..n {
@@ -84,10 +84,17 @@ fn traced_run_yields_valid_run_report() {
     obs::set_enabled(true);
     let t0 = std::time::Instant::now();
     let mut a = a0.clone();
-    let stats = factorize_mp(&mut a, &m, 3).expect("factorization");
+    let stats = factorize(&mut a, &m, &FactorOptions::single_shot(3)).expect("factorization");
     let mut a_dist = a0.clone();
-    let dist = factorize_mp_distributed(&mut a_dist, &m, &Grid2d::new(2, 2), WirePolicy::Auto)
-        .expect("distributed factorization");
+    let on_grid = FactorOptions {
+        grid: Grid2d::new(2, 2),
+        wire: WirePolicy::Auto,
+        ..FactorOptions::single_shot(2)
+    };
+    let dist = factorize(&mut a_dist, &m, &on_grid)
+        .expect("distributed factorization")
+        .wire
+        .unwrap_or_default();
     let wall_s = t0.elapsed().as_secs_f64();
     obs::set_enabled(false);
     let trace = obs::collect();
@@ -124,7 +131,7 @@ fn nested_scheduler_counters_survive_into_factor_stats() {
     // parallel: per-worker counters present, totals = elementwise sum
     let mut a = a0.clone();
     let threads = 3;
-    let stats = factorize_mp(&mut a, &m, threads).expect("factorization");
+    let stats = factorize(&mut a, &m, &FactorOptions::single_shot(threads)).expect("factorization");
     assert_eq!(stats.sched_per_worker.len(), threads);
     let summed: u64 = stats.sched_per_worker.iter().map(|w| w.tasks).sum();
     assert_eq!(summed, stats.sched_totals.tasks);
@@ -136,7 +143,8 @@ fn nested_scheduler_counters_survive_into_factor_stats() {
 
     // serial: no nested scheduler, so no per-worker rows and zero totals
     let mut a = a0.clone();
-    let stats = factorize_mp(&mut a, &m, 1).expect("serial factorization");
+    let stats =
+        factorize(&mut a, &m, &FactorOptions::single_shot(1)).expect("serial factorization");
     assert!(stats.sched_per_worker.is_empty());
     assert_eq!(stats.sched_totals.tasks, 0);
 }

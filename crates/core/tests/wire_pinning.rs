@@ -3,7 +3,7 @@
 //! the exact factor bits of lossy-wire runs. Any refactor of the
 //! distributed executor must reproduce both unchanged.
 
-use mixedp_core::{factorize_mp_distributed, uniform_map, DistStats, WirePolicy};
+use mixedp_core::{factorize, uniform_map, DistStats, FactorOptions, WirePolicy};
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_tile::{Grid2d, SymmTileMatrix};
 
@@ -25,8 +25,13 @@ fn spd_matrix(n: usize, nb: usize) -> SymmTileMatrix {
 fn run(nt: usize, grid: &Grid2d, policy: WirePolicy) -> (SymmTileMatrix, DistStats) {
     let mut a = spd_matrix(nt * NB, NB);
     let m = uniform_map(nt, Precision::Fp16x32);
-    let stats = factorize_mp_distributed(&mut a, &m, grid, policy).expect("SPD matrix");
-    (a, stats)
+    let opts = FactorOptions {
+        grid: *grid,
+        wire: policy,
+        ..FactorOptions::single_shot(grid.nranks())
+    };
+    let stats = factorize(&mut a, &m, &opts).expect("SPD matrix");
+    (a, *stats.wire.expect("a multi-rank grid reports its wire"))
 }
 
 /// The integer counters of one `BENCH_wire.json` `data_motion` row.

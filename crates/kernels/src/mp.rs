@@ -498,6 +498,17 @@ impl KernelKind {
             KernelKind::Gemm => "GEMM",
         }
     }
+
+    /// Flop count of the kernel in units of `nb³/3` ([`kernel_flops`]):
+    /// the weight of the DAG's critical-path priorities.
+    pub fn weight(self) -> i64 {
+        match self {
+            KernelKind::Potrf => 1,
+            KernelKind::Trsm => 3,
+            KernelKind::Syrk => 3,
+            KernelKind::Gemm => 6,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -875,6 +886,24 @@ mod tests {
         assert_eq!(kernel_flops(KernelKind::Gemm, 100) as u64, 2_000_000);
         assert_eq!(kernel_flops(KernelKind::Trsm, 100) as u64, 1_000_000);
         assert!(kernel_flops(KernelKind::Potrf, 100) < kernel_flops(KernelKind::Trsm, 100));
+    }
+
+    #[test]
+    fn weights_are_flops_in_units_of_nb_cubed_over_3() {
+        let nb = 96;
+        let unit = (nb * nb * nb) as f64 / 3.0;
+        for kind in [
+            KernelKind::Potrf,
+            KernelKind::Trsm,
+            KernelKind::Syrk,
+            KernelKind::Gemm,
+        ] {
+            assert_eq!(
+                kind.weight() as f64 * unit,
+                kernel_flops(kind, nb),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -195,15 +195,6 @@ impl TraceData {
     pub fn min_ts(&self) -> u64 {
         self.records.iter().map(|r| r.ts_ns).min().unwrap_or(0)
     }
-
-    /// Latest span end / instant timestamp (0 when empty).
-    pub fn max_end(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| r.ts_ns + r.dur_ns)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Snapshot **and clear** every ring. Call at a quiescent point (no
@@ -328,7 +319,6 @@ mod tests {
             dropped: 0,
         };
         assert_eq!(t.min_ts(), 2);
-        assert_eq!(t.max_end(), 6);
         assert_eq!(t.tracks(), vec![0]);
     }
 }

@@ -32,7 +32,8 @@
 //!   queues *after* registering idle, which closes the lost-wake-up race;
 //!   a coarse timeout backstop bounds the damage of any residual race to
 //!   a bounded stall instead of a hang.
-//! * **Locality-aware dispatch.** A task whose [`TaskNode::affinity`]
+//! * **Locality-aware dispatch.** A task whose
+//!   [`TaskNode::affinity`](crate::graph::TaskNode::affinity)
 //!   names the previous writer of its in-place output is dispatched to
 //!   the worker that executed that writer — the worker whose cache still
 //!   holds the tile — and only migrates if someone steals it.

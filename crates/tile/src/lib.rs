@@ -19,6 +19,6 @@ pub mod tile;
 
 pub use dense::DenseMatrix;
 pub use layout::Grid2d;
-pub use matrix::SymmTileMatrix;
+pub use matrix::{lower_index, lower_tiles, SymmTileMatrix};
 pub use norms::{tile_fro_norms, NormMap};
 pub use tile::{Tile, TileBuf};

@@ -4,6 +4,20 @@ use crate::dense::DenseMatrix;
 use crate::tile::Tile;
 use mixedp_fp::StoragePrecision;
 
+/// Packed index of lower tile `(i, j)`, `i ≥ j`: the tiles of the lower
+/// triangle row by row, in the order of [`lower_tiles`].
+#[inline]
+pub fn lower_index(i: usize, j: usize) -> usize {
+    debug_assert!(j <= i);
+    i * (i + 1) / 2 + j
+}
+
+/// The coordinates `(i, j)`, `i ≥ j`, of the lower tiles of an `nt × nt`
+/// tile grid, in packed order.
+pub fn lower_tiles(nt: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j)))
+}
+
 /// The lower triangle of an `n × n` symmetric matrix, partitioned into
 /// `NT × NT` tiles of nominal size `nb` (the trailing tile may be ragged).
 ///
@@ -15,18 +29,11 @@ pub struct SymmTileMatrix {
     n: usize,
     nb: usize,
     nt: usize,
-    /// Lower-packed: index of tile `(i, j)` is `i (i + 1) / 2 + j`.
+    /// Lower-packed: tile `(i, j)` at [`lower_index`]`(i, j)`.
     tiles: Vec<Tile>,
 }
 
 impl SymmTileMatrix {
-    /// Packed index of tile `(i, j)`, `i ≥ j`.
-    #[inline]
-    fn idx(i: usize, j: usize) -> usize {
-        debug_assert!(j <= i);
-        i * (i + 1) / 2 + j
-    }
-
     /// Number of rows in tile-row `i`.
     #[inline]
     pub fn tile_rows(&self, i: usize) -> usize {
@@ -59,8 +66,7 @@ impl SymmTileMatrix {
     {
         assert!(n > 0 && nb > 0);
         let nt = n.div_ceil(nb);
-        let tiles: Vec<Tile> = (0..nt)
-            .flat_map(|i| (0..=i).map(move |j| (i, j)))
+        let tiles: Vec<Tile> = lower_tiles(nt)
             .map(|(i, j)| {
                 let r = (n - i * nb).min(nb);
                 let c = (n - j * nb).min(nb);
@@ -77,7 +83,7 @@ impl SymmTileMatrix {
     }
 
     /// Assemble from pre-built tiles in lower-packed order (tile `(i, j)`
-    /// at index `i(i+1)/2 + j`) — the constructor for callers that
+    /// at index [`lower_index`]`(i, j)`) — the constructor for callers that
     /// generate tiles out-of-place in parallel (e.g. through the task
     /// runtime) and hand the finished pieces over.
     ///
@@ -124,11 +130,11 @@ impl SymmTileMatrix {
     }
 
     pub fn tile(&self, i: usize, j: usize) -> &Tile {
-        &self.tiles[Self::idx(i, j)]
+        &self.tiles[lower_index(i, j)]
     }
 
     pub fn tile_mut(&mut self, i: usize, j: usize) -> &mut Tile {
-        &mut self.tiles[Self::idx(i, j)]
+        &mut self.tiles[lower_index(i, j)]
     }
 
     /// Mutable access to two distinct tiles at once (needed by update
@@ -138,8 +144,8 @@ impl SymmTileMatrix {
         a: (usize, usize),
         b: (usize, usize),
     ) -> (&mut Tile, &mut Tile) {
-        let ia = Self::idx(a.0, a.1);
-        let ib = Self::idx(b.0, b.1);
+        let ia = lower_index(a.0, a.1);
+        let ib = lower_index(b.0, b.1);
         assert_ne!(ia, ib, "tile_pair_mut requires distinct tiles");
         if ia < ib {
             let (lo, hi) = self.tiles.split_at_mut(ib);
@@ -152,7 +158,7 @@ impl SymmTileMatrix {
 
     /// Iterate `(i, j, &tile)` over the stored lower triangle.
     pub fn iter_lower(&self) -> impl Iterator<Item = (usize, usize, &Tile)> {
-        (0..self.nt).flat_map(move |i| (0..=i).map(move |j| (i, j, self.tile(i, j))))
+        lower_tiles(self.nt).map(move |(i, j)| (i, j, self.tile(i, j)))
     }
 
     /// Global element read (either triangle; uses symmetry).

@@ -1,7 +1,7 @@
 //! Per-tile and global Frobenius norms — the inputs to the tile-centric
 //! precision-selection rule `‖A_ij‖ · NT / ‖A‖ ≤ u_req / u_low` (paper §V).
 
-use crate::matrix::SymmTileMatrix;
+use crate::matrix::{lower_index, lower_tiles, SymmTileMatrix};
 
 /// Frobenius norms of every lower-triangle tile plus the global norm.
 #[derive(Debug, Clone)]
@@ -20,7 +20,7 @@ impl NormMap {
     /// Frobenius norm of tile `(i, j)` (either triangle; symmetric).
     pub fn tile(&self, i: usize, j: usize) -> f64 {
         let (i, j) = if i >= j { (i, j) } else { (j, i) };
-        self.norms[i * (i + 1) / 2 + j]
+        self.norms[lower_index(i, j)]
     }
 
     /// Frobenius norm of the whole symmetric matrix.
@@ -32,7 +32,7 @@ impl NormMap {
 /// Compute all tile norms and the global norm.
 pub fn tile_fro_norms(a: &SymmTileMatrix) -> NormMap {
     let nt = a.nt();
-    let coords: Vec<(usize, usize)> = (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
+    let coords: Vec<(usize, usize)> = lower_tiles(nt).collect();
     let sq: Vec<f64> = coords
         .iter()
         .map(|&(i, j)| a.tile(i, j).fro_norm_sq())

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release --example mp_prediction [-- --n=400]`
 
-use mixedp::core::{factorize_mp, solve_refined, MpBackend, PrecisionMap};
+use mixedp::core::{factorize, solve_refined, FactorOptions, MpBackend, PrecisionMap};
 use mixedp::geostats::covariance::covariance_entry;
 use mixedp::geostats::predict::{mspe, predict, predict_with_solver};
 use mixedp::kernels::spd_solve_tiled;
@@ -72,7 +72,7 @@ fn main() {
     );
     let pmap = PrecisionMap::from_norms(&tile_fro_norms(&sigma), 1e-6, &Precision::ADAPTIVE_SET);
     let mut l_mp = sigma.clone();
-    factorize_mp(&mut l_mp, &pmap, 2).expect("SPD");
+    factorize(&mut l_mp, &pmap, &FactorOptions::single_shot(2)).expect("SPD");
     let pct: Vec<String> = pmap
         .percentages()
         .iter()

@@ -34,7 +34,7 @@ fn main() {
         let plan = plan_conversions(&pmap);
 
         let mut a = sigma.clone();
-        let stats = factorize_mp(&mut a, &pmap, 2).expect("SPD");
+        let stats = factorize(&mut a, &pmap, &FactorOptions::single_shot(2)).expect("SPD");
         let err = reconstruction_error(&dense, &a.to_dense_lower());
 
         let pct: Vec<String> = pmap

@@ -15,6 +15,9 @@ echo "== likelihood benchmark package: fmt --check + clippy -D warnings"
 cargo fmt --manifest-path likbench/Cargo.toml -- --check
 cargo clippy --offline --manifest-path likbench/Cargo.toml --all-targets -- -D warnings
 
+echo "== rustdoc -D warnings (no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 

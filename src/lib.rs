@@ -45,7 +45,7 @@
 //!
 //! // 4. mixed-precision factorization (real arithmetic)
 //! let mut a = sigma.clone();
-//! let stats = factorize_mp(&mut a, &pmap, 2).unwrap();
+//! let stats = factorize(&mut a, &pmap, &FactorOptions::single_shot(2)).unwrap();
 //! assert!(stats.storage_bytes_mp <= stats.storage_bytes_fp64);
 //! assert!(plan.nt() == pmap.nt());
 //! ```
@@ -61,8 +61,8 @@ pub use mixedp_tile as tile;
 /// The most common imports in one place.
 pub mod prelude {
     pub use mixedp_core::{
-        factorize_mp, plan_conversions, simulate_cholesky, uniform_map, CholeskySimOptions,
-        MpBackend, PrecisionMap, WirePolicy,
+        factorize, plan_conversions, simulate_cholesky, uniform_map, CholeskySimOptions,
+        FactorOptions, MpBackend, PrecisionMap, WirePolicy,
     };
     pub use mixedp_fp::{CommPrecision, Precision, StoragePrecision};
     pub use mixedp_geostats::covariance::covariance_entry;

@@ -66,7 +66,7 @@ fn factorization_accuracy_ladder_sqexp() {
     for u_req in [1e-13, 1e-8, 1e-4] {
         let pmap = PrecisionMap::from_norms(&norms, u_req, &Precision::ADAPTIVE_SET);
         let mut a = sigma.clone();
-        factorize_mp(&mut a, &pmap, 2).unwrap();
+        factorize(&mut a, &pmap, &FactorOptions::single_shot(2)).unwrap();
         errs.push(reconstruction_error(&dense, &a.to_dense_lower()));
     }
     assert!(errs[0] < 1e-12, "{errs:?}");

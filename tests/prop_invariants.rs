@@ -4,8 +4,9 @@ use mixedp::core::conversion::plan_conversions;
 use mixedp::core::factorize::build_dag;
 use mixedp::kernels::reconstruction_error;
 use mixedp::prelude::{
-    factorize_mp, simulate_cholesky, tile_fro_norms, uniform_map, CholeskySimOptions, ClusterSpec,
-    DenseMatrix, Grid2d, NodeSpec, Precision, PrecisionMap, StoragePrecision, SymmTileMatrix,
+    factorize, simulate_cholesky, tile_fro_norms, uniform_map, CholeskySimOptions, ClusterSpec,
+    DenseMatrix, FactorOptions, Grid2d, NodeSpec, Precision, PrecisionMap, StoragePrecision,
+    SymmTileMatrix,
 };
 use proptest::prelude::*;
 
@@ -87,7 +88,7 @@ proptest! {
         for u_req in [1e-14, 1e-6, 1e-2] {
             let pmap = PrecisionMap::from_norms(&norms, u_req, &Precision::ADAPTIVE_SET);
             let mut a = a0.clone();
-            factorize_mp(&mut a, &pmap, 1).unwrap();
+            factorize(&mut a, &pmap, &FactorOptions::single_shot(1)).unwrap();
             let err = reconstruction_error(&dense, &a.to_dense_lower());
             prop_assert!(err >= prev_err || (err - prev_err).abs() < 1e-12,
                 "error not monotone: {prev_err} -> {err} at u_req {u_req}");
