@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mixedp_fp::{Precision, StoragePrecision};
-use mixedp_kernels::{
-    blas, gemm_tile_ws, potrf_tile_ws, reference_gemm_nt_f64, reference_syrk_ln_f64, syrk_tile_ws,
-    trsm_tile_ws, Workspace,
+use mixedp_kernels::oracle::{
+    reference_gemm_nt_f64, reference_syrk_ln_f64, reference_trsm_rlt_f64,
 };
+use mixedp_kernels::{blas, gemm_tile_ws, potrf_tile_ws, syrk_tile_ws, trsm_tile_ws, Workspace};
 use mixedp_tile::Tile;
 
 fn rand_vec(len: usize, seed: u64) -> Vec<f64> {
@@ -112,8 +112,8 @@ fn bench_panel_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// Cache-blocked vs naive-reference kernels at the tentpole's gating shape
-/// (256×256×256): the blocked GEMM must sustain ≥2× the reference.
+/// Packed vs naive-reference kernels at the gating shape (256×256×256):
+/// the packed GEMM must sustain ≥2× the reference.
 fn bench_blocked_vs_reference(c: &mut Criterion) {
     let mut g = c.benchmark_group("blocked_vs_reference");
     g.sample_size(10);
@@ -152,6 +152,28 @@ fn bench_blocked_vs_reference(c: &mut Criterion) {
         bch.iter(|| {
             cm.copy_from_slice(&c0);
             reference_syrk_ln_f64(&a, n, n, &mut cm);
+            cm[0]
+        })
+    });
+    // A well-conditioned lower factor for `X Lᵀ = B`.
+    let mut l = a.clone();
+    for i in 0..n {
+        l[i * n + i] = 1.0 + n as f64;
+    }
+    g.throughput(Throughput::Elements((n * n * n) as u64));
+    g.bench_function("trsm_rlt_f64_blocked", |bch| {
+        let mut cm = c0.clone();
+        bch.iter(|| {
+            cm.copy_from_slice(&c0);
+            blas::trsm_rlt_f64(&l, n, &mut cm, n);
+            cm[0]
+        })
+    });
+    g.bench_function("trsm_rlt_f64_reference", |bch| {
+        let mut cm = c0.clone();
+        bch.iter(|| {
+            cm.copy_from_slice(&c0);
+            reference_trsm_rlt_f64(&l, n, &mut cm, n);
             cm[0]
         })
     });

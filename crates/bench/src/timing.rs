@@ -4,8 +4,9 @@
 
 use std::time::Instant;
 
-/// Median wall-clock seconds of `reps` runs of `f` (one untimed warmup).
-pub fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+/// Wall-clock seconds of `reps` runs of `f` (one untimed warmup), sorted
+/// ascending.
+pub fn sample_secs(reps: usize, mut f: impl FnMut()) -> Vec<f64> {
     f();
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
@@ -14,7 +15,13 @@ pub fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
             t0.elapsed().as_secs_f64()
         })
         .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    times.sort_by(|a, b| a.total_cmp(b));
+    times
+}
+
+/// Median wall-clock seconds of `reps` runs of `f` (one untimed warmup).
+pub fn median_secs(reps: usize, f: impl FnMut()) -> f64 {
+    let times = sample_secs(reps, f);
     times[times.len() / 2]
 }
 
@@ -22,15 +29,8 @@ pub fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 /// For fixed-work bodies (busy-wait task bodies, deterministic DAG replay)
 /// the minimum is the lowest-noise estimator: every perturbation — clock
 /// drift, preemption, a background build — only ever adds time.
-pub fn min_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+pub fn min_secs(reps: usize, f: impl FnMut()) -> f64 {
+    sample_secs(reps, f)[0]
 }
 
 /// Busy-wait for `ns` nanoseconds (sleep granularity is far too coarse for

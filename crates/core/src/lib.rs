@@ -19,7 +19,6 @@
 //! 5. [`mle`] — the mixed-precision log-likelihood backend that plugs the
 //!    factorization into the geostatistics MLE driver.
 
-pub mod band_map;
 pub mod conversion;
 pub mod distributed;
 pub mod factorize;
@@ -31,7 +30,6 @@ pub mod simulate;
 pub mod tlr;
 pub mod wire;
 
-pub use band_map::{banded_map, banded_map_matching_storage};
 pub use conversion::{plan_conversions, wire_of, ConversionPlan, WirePolicy};
 pub use distributed::{factorize_mp_distributed, DistStats};
 pub use factorize::{
