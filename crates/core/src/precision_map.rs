@@ -13,10 +13,9 @@
 
 use mixedp_fp::{escalate, storage_precision_of, Precision, StoragePrecision};
 use mixedp_tile::{lower_index, NormMap};
-use serde::{Deserialize, Serialize};
 
 /// Per-tile kernel precisions (Fig 2a) and the induced storage map (Fig 2b).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrecisionMap {
     nt: usize,
     /// Lower-packed kernel precision per tile ([`lower_index`]).

@@ -28,8 +28,7 @@
 //! [`crate::distributed`] builds its rank-level messages on these
 //! primitives; `bench_wire` measures them.
 
-use half::f16;
-use mixedp_fp::{round_f16, round_f16_f32, CommPrecision, StoragePrecision};
+use mixedp_fp::{round_f16, round_f16_f32, CommPrecision, StoragePrecision, F16};
 use mixedp_obs as obs;
 use mixedp_tile::{Tile, TileBuf};
 
@@ -236,7 +235,7 @@ pub fn pack_tile_into(t: &Tile, wire: CommPrecision, packing: Packing, out: &mut
             pack_src(v, r, c, packing, out, |x: f64| (x as f32).to_le_bytes())
         }
         (TileBuf::F64(v), CommPrecision::Fp16) => pack_src(v, r, c, packing, out, |x: f64| {
-            f16::from_f64(x).to_bits().to_le_bytes()
+            F16::from_f64(x).to_bits().to_le_bytes()
         }),
         (TileBuf::F32(v), CommPrecision::Fp64) => {
             pack_src(v, r, c, packing, out, |x: f32| (x as f64).to_le_bytes())
@@ -245,16 +244,16 @@ pub fn pack_tile_into(t: &Tile, wire: CommPrecision, packing: Packing, out: &mut
             pack_src(v, r, c, packing, out, |x: f32| x.to_le_bytes())
         }
         (TileBuf::F32(v), CommPrecision::Fp16) => pack_src(v, r, c, packing, out, |x: f32| {
-            f16::from_f32(x).to_bits().to_le_bytes()
+            F16::from_f32(x).to_bits().to_le_bytes()
         }),
         (TileBuf::F16(v), CommPrecision::Fp64) => {
-            pack_src(v, r, c, packing, out, |x: f16| x.to_f64().to_le_bytes())
+            pack_src(v, r, c, packing, out, |x: F16| x.to_f64().to_le_bytes())
         }
         (TileBuf::F16(v), CommPrecision::Fp32) => {
-            pack_src(v, r, c, packing, out, |x: f16| x.to_f32().to_le_bytes())
+            pack_src(v, r, c, packing, out, |x: F16| x.to_f32().to_le_bytes())
         }
         (TileBuf::F16(v), CommPrecision::Fp16) => {
-            pack_src(v, r, c, packing, out, |x: f16| x.to_bits().to_le_bytes())
+            pack_src(v, r, c, packing, out, |x: F16| x.to_bits().to_le_bytes())
         }
     }
     let bytes = (out.len() - before) as u64;
@@ -338,17 +337,17 @@ fn unpack_tile_inner(
     let buf = match (wire, storage) {
         (CommPrecision::Fp16, StoragePrecision::F64) => {
             TileBuf::F64(unpack_dst(payload, rows, cols, p, |b: [u8; 2]| {
-                f16::from_bits(u16::from_le_bytes(b)).to_f64()
+                F16::from_bits(u16::from_le_bytes(b)).to_f64()
             }))
         }
         (CommPrecision::Fp16, StoragePrecision::F32) => {
             TileBuf::F32(unpack_dst(payload, rows, cols, p, |b: [u8; 2]| {
-                f16::from_bits(u16::from_le_bytes(b)).to_f32()
+                F16::from_bits(u16::from_le_bytes(b)).to_f32()
             }))
         }
         (CommPrecision::Fp16, StoragePrecision::F16) => {
             TileBuf::F16(unpack_dst(payload, rows, cols, p, |b: [u8; 2]| {
-                f16::from_bits(u16::from_le_bytes(b))
+                F16::from_bits(u16::from_le_bytes(b))
             }))
         }
         (CommPrecision::Fp32, StoragePrecision::F64) => {
@@ -361,7 +360,7 @@ fn unpack_tile_inner(
         }
         (CommPrecision::Fp32, StoragePrecision::F16) => {
             TileBuf::F16(unpack_dst(payload, rows, cols, p, |b: [u8; 4]| {
-                f16::from_f32(f32::from_le_bytes(b))
+                F16::from_f32(f32::from_le_bytes(b))
             }))
         }
         (CommPrecision::Fp64, StoragePrecision::F64) => {
@@ -374,7 +373,7 @@ fn unpack_tile_inner(
         }
         (CommPrecision::Fp64, StoragePrecision::F16) => {
             TileBuf::F16(unpack_dst(payload, rows, cols, p, |b: [u8; 8]| {
-                f16::from_f64(f64::from_le_bytes(b))
+                F16::from_f64(f64::from_le_bytes(b))
             }))
         }
     };

@@ -1,14 +1,12 @@
 //! The precision formats of the adaptive framework.
 
-use serde::{Deserialize, Serialize};
-
 /// A kernel (operation) precision format, as enumerated in paper §IV.
 ///
 /// The "x32" variants are the paper's `FP16_32` / `BF16_32`: matrix inputs
 /// A and B are held in the 16-bit format while C and the accumulation are
 /// FP32 (the tensor-core mixed GEMM mode). `Tf32` rounds inputs to a 10-bit
 /// mantissa and accumulates in FP32.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Precision {
     /// IEEE binary16 inputs, outputs, and accumulation (pure FP16 GEMM).
     Fp16,
@@ -118,7 +116,7 @@ impl std::fmt::Display for Precision {
 /// FP16-class kernels still need their tile storable for the FP32 TRSM
 /// (paper §V, Fig 2b), so only three storage formats exist in the adaptive
 /// framework. `F16` exists for the standalone GEMM benchmark path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StoragePrecision {
     F16,
     F32,
@@ -154,7 +152,7 @@ impl std::fmt::Display for StoragePrecision {
 ///
 /// `Ord` follows fidelity: `Fp16 < Fp32 < Fp64`, so
 /// [`crate::lattice::higher_comm`] is just `max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommPrecision {
     Fp16,
     Fp32,

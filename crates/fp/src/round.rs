@@ -1,13 +1,12 @@
 //! Bit-accurate rounding of `f64` values through each precision format.
 //!
 //! These routines are the foundation of the numerical-mode experiments: a
-//! value "stored in FP16" is a genuine IEEE binary16 value (via the `half`
-//! crate), a "TF32 input" genuinely has a 10-bit mantissa, and so on. All
-//! roundings are round-to-nearest-even, matching NVIDIA conversion
-//! instructions.
+//! value "stored in FP16" is a genuine IEEE binary16 value (its encoding,
+//! [`F16`](crate::F16), is built on [`round_f16`]), a "TF32 input"
+//! genuinely has a 10-bit mantissa, and so on. All roundings are
+//! round-to-nearest-even, matching NVIDIA conversion instructions.
 
 use crate::format::Precision;
-use half::bf16;
 
 /// Round an `f64` through IEEE binary32.
 #[inline]
@@ -19,26 +18,34 @@ pub fn round_f32(x: f64) -> f64 {
 /// overflow to ±∞ and gradual underflow, exactly as the format defines).
 ///
 /// One rounding straight from binary64 — never via binary32, which would
-/// round twice. Branch-free: normal results round the 42 dropped mantissa
-/// bits in the integer domain (a carry into the exponent is the correct
-/// RNE step up a binade); below 2⁻¹⁴ the addition `|x| + 2²⁸`, whose ulp
-/// is the binary16 subnormal spacing 2⁻²⁴, performs the RNE in the FPU.
-/// NaN maps to the canonical quiet NaN, as `f16::from_f64(x).to_f64()`.
+/// round twice. NaN maps to the canonical quiet NaN.
 #[inline(always)]
 pub fn round_f16(x: f64) -> f64 {
-    const DROP: u32 = 52 - 10;
-    const MIN_NORMAL: u64 = (1023 - 14) << 52; // 2^-14
-    const MAX_FINITE: u64 = 0x40EF_FC00_0000_0000; // 65504
+    round_narrow::<5, 10>(x)
+}
+
+/// Round an `f64` to the binary format with `E` exponent and `M` mantissa
+/// bits, branch-free. Normal results round the `52 − M` dropped mantissa
+/// bits in the integer domain (a carry into the exponent is the correct
+/// RNE step up a binade); below the format's smallest normal the addition
+/// `|x| + S`, where `S` is the power of two whose ulp is the format's
+/// subnormal spacing (2²⁸ for binary16), performs the RNE in the FPU.
+#[inline(always)]
+fn round_narrow<const E: u32, const M: u32>(x: f64) -> f64 {
+    let drop = 52 - M;
+    let bias = (1u64 << (E - 1)) - 1;
+    let min_normal = (1024 - bias) << 52;
+    let max_finite = ((1023 + bias) << 52) | (((1 << M) - 1) << drop);
+    let sub_shift = f64::from_bits((1024 + 52 - bias - M as u64) << 52);
     const INF: u64 = 0x7FF0_0000_0000_0000;
-    const SUB_SHIFT: f64 = (1u64 << 28) as f64;
     let bits = x.to_bits();
     let sign = bits & (1 << 63);
     let abs = bits & !(1 << 63);
-    let lsb = (abs >> DROP) & 1;
-    let normal = (abs + ((1 << (DROP - 1)) - 1) + lsb) & !((1 << DROP) - 1);
-    let subnormal = ((f64::from_bits(abs) + SUB_SHIFT) - SUB_SHIFT).to_bits();
-    let r = if abs < MIN_NORMAL { subnormal } else { normal };
-    let r = if r > MAX_FINITE { INF } else { r };
+    let lsb = (abs >> drop) & 1;
+    let normal = (abs + ((1 << (drop - 1)) - 1) + lsb) & !((1 << drop) - 1);
+    let subnormal = ((f64::from_bits(abs) + sub_shift) - sub_shift).to_bits();
+    let r = if abs < min_normal { subnormal } else { normal };
+    let r = if r > max_finite { INF } else { r };
     if abs > INF {
         f64::NAN
     } else {
@@ -50,8 +57,8 @@ pub fn round_f16(x: f64) -> f64 {
 /// per-operation rounding of FP16 emulated in binary32 arithmetic.
 ///
 /// Same scheme as [`round_f16`] on 13 dropped bits, with `|x| + 0.5`
-/// (ulp 2⁻²⁴) for the subnormal range. Bit-identical to
-/// `f16::from_f32(x).to_f32()` on all 2³² inputs (checked exhaustively by
+/// (ulp 2⁻²⁴) for the subnormal range. Bit-identical to a correctly
+/// rounded binary16 conversion on all 2³² inputs (checked exhaustively by
 /// an ignored release test), with no branch on the value so loops over it
 /// vectorize.
 #[inline(always)]
@@ -75,10 +82,11 @@ pub fn round_f16_f32(x: f32) -> f32 {
     }
 }
 
-/// Round an `f64` through bfloat16.
+/// Round an `f64` through bfloat16 (f32's exponent range, 7 mantissa
+/// bits), in one step and branch-free like [`round_f16`].
 #[inline]
 pub fn round_bf16(x: f64) -> f64 {
-    bf16::from_f64(x).to_f64()
+    round_narrow::<8, 7>(x)
 }
 
 /// Round an `f32` to the TensorFloat-32 grid: same exponent range as
@@ -129,14 +137,6 @@ pub fn quantize(p: Precision, x: f64) -> f64 {
         Precision::Fp16x32 | Precision::Fp16 => round_f16(x),
         Precision::Bf16x32 => round_bf16(x),
     }
-}
-
-/// Emulated FP16 addition: both operands are binary16 values (as `f64`),
-/// and the result is rounded back to binary16 — the semantics of a pure
-/// FP16-accumulate tensor-core GEMM.
-#[inline]
-pub fn add_f16(a: f64, b: f64) -> f64 {
-    round_f16(a + b)
 }
 
 #[cfg(test)]
@@ -225,7 +225,7 @@ mod tests {
     fn fp16_accumulation_ops() {
         // 2048 + 1 in fp16: 1 is below half of fp16 ulp at 2048 (ulp = 2) -> stays?
         // ulp(2048) = 2, halfway = 1, ties-to-even keeps 2048.
-        assert_eq!(add_f16(2048.0, 1.0), 2048.0);
-        assert_eq!(add_f16(2048.0, 1.5), 2050.0);
+        assert_eq!(round_f16(2048.0 + 1.0), 2048.0);
+        assert_eq!(round_f16(2048.0 + 1.5), 2050.0);
     }
 }

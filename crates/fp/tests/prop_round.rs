@@ -1,22 +1,34 @@
 //! Property-based tests of the rounding emulation.
 
-use half::f16;
+mod oracle;
+
 use mixedp_fp::{
-    quantize, round_bf16, round_f16, round_f16_f32, round_tf32, CommPrecision, Precision,
+    quantize, round_bf16, round_f16, round_f16_f32, round_tf32, CommPrecision, Precision, F16,
 };
+use oracle::{decode, encode};
 use proptest::prelude::*;
 
-/// An f64 aimed at the hard cases of binary16 rounding, chosen by `sel`:
-/// exact ties between neighbouring f16 values (and their f64 neighbours),
-/// arbitrary points inside an f16 ulp, magnitudes across and beyond the
-/// f16 range (subnormal, overflow), specials (±0, ±∞, NaN payloads) and
-/// raw bit patterns.
-fn f16_hard_case(sel: u32, raw: u64, code: u16, frac: f64, neg: bool) -> f64 {
-    let lo = f16::from_bits(code).to_f64();
-    let ulp = if code == 0x7BFF {
-        32.0 // next step would be 65536, the overflow threshold's far side
+/// An f64 aimed at the hard cases of rounding to the `E`/`M` format,
+/// chosen by `sel`: exact ties between neighbouring codes (and their f64
+/// neighbours), arbitrary points inside an ulp, magnitudes across and
+/// beyond the format's range (subnormal, overflow), specials (±0, ±∞, NaN
+/// payloads, the extreme finite and subnormal values and the ties beyond
+/// them) and raw bit patterns. `code` is reduced below the infinity code.
+fn hard_case<const E: u32, const M: u32>(
+    sel: u32,
+    raw: u64,
+    code: u16,
+    frac: f64,
+    neg: bool,
+) -> f64 {
+    let inf_code = ((1u16 << E) - 1) << M;
+    let code = code % inf_code;
+    let lo = decode::<E, M>(code);
+    let ulp = if code == inf_code - 1 {
+        // next step would be the overflow threshold's far side
+        lo - decode::<E, M>(code - 1)
     } else {
-        f16::from_bits(code + 1).to_f64() - lo
+        decode::<E, M>(code + 1) - lo
     };
     let tie = lo + ulp / 2.0;
     let x = match sel {
@@ -25,22 +37,27 @@ fn f16_hard_case(sel: u32, raw: u64, code: u16, frac: f64, neg: bool) -> f64 {
         2 => f64::from_bits(tie.to_bits() - 1),
         3 => lo + frac * ulp,
         4 => {
-            // log-uniform over [2^-40, 2^20): subnormal to overflow
-            let e = (raw % 60) as i32 - 40;
-            (1.0 + frac) * 2f64.powi(e)
+            // log-uniform from far below the smallest subnormal to past the
+            // overflow threshold ([2^-40, 2^20) for binary16)
+            let bias = (1i64 << (E - 1)) - 1;
+            let lo_e = -(2 * bias + M as i64);
+            let e = (raw % (bias + 5 - lo_e) as u64) as i64 + lo_e;
+            (1.0 + frac) * 2f64.powi(e as i32)
         }
         5 => {
-            const SPECIALS: [f64; 8] = [
+            let max = decode::<E, M>(inf_code - 1);
+            let min_sub = decode::<E, M>(1);
+            let specials = [
                 0.0,
                 f64::INFINITY,
                 f64::NAN,
-                65504.0,
-                65520.0,
-                5.960464477539063e-8,  // 2^-24
-                2.9802322387695312e-8, // 2^-25, ties to zero
-                6.103515625e-5,        // 2^-14
+                max,
+                max + (max - decode::<E, M>(inf_code - 2)) / 2.0,
+                min_sub,
+                min_sub / 2.0, // ties to zero
+                decode::<E, M>(1 << M),
             ];
-            SPECIALS[(raw % 8) as usize]
+            specials[(raw % 8) as usize]
         }
         6 => f64::from_bits(0x7FF0_0000_0000_0000 | (raw >> 12).max(1)), // NaN payloads
         _ => f64::from_bits(raw),
@@ -125,9 +142,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
-    /// The branch-free direct f64 → binary16 rounding agrees bit for bit
-    /// with the integer encoder of the `half` shim (ties, subnormals,
-    /// overflow, ±0, ±∞ and NaN included).
+    /// The branch-free direct f64 → binary16 rounding and the `F16`
+    /// encoding agree bit for bit with the integer encoder (ties,
+    /// subnormals, overflow, ±0, ±∞ and NaN, its sign included).
     #[test]
     fn round_f16_matches_integer_encoder(
         sel in 0u32..8,
@@ -136,13 +153,32 @@ proptest! {
         frac in 0.0f64..1.0,
         neg in 0u32..2,
     ) {
-        let x = f16_hard_case(sel, raw, code as u16, frac, neg == 1);
-        let want = f16::from_f64(x).to_f64();
+        let x = hard_case::<5, 10>(sel, raw, code as u16, frac, neg == 1);
+        let code = encode::<5, 10>(x);
+        let want = decode::<5, 10>(code);
         prop_assert_eq!(round_f16(x).to_bits(), want.to_bits(), "x = {:e} ({:#x})", x, x.to_bits());
+        prop_assert_eq!(F16::from_f64(x).to_bits(), code, "x = {:e} ({:#x})", x, x.to_bits());
         // On f32 inputs the binary32 rounding agrees with both.
         let y = x as f32;
-        let want = f16::from_f32(y).to_f32();
-        prop_assert_eq!(round_f16_f32(y).to_bits(), want.to_bits(), "y = {:e}", y);
-        prop_assert_eq!(round_f16(y as f64).to_bits(), (want as f64).to_bits(), "y = {:e}", y);
+        let code = encode::<5, 10>(y as f64);
+        let want = decode::<5, 10>(code);
+        prop_assert_eq!(round_f16_f32(y).to_bits(), (want as f32).to_bits(), "y = {:e}", y);
+        prop_assert_eq!(round_f16(y as f64).to_bits(), want.to_bits(), "y = {:e}", y);
+        prop_assert_eq!(F16::from_f32(y).to_bits(), code, "y = {:e}", y);
+    }
+
+    /// The branch-free bfloat16 rounding agrees bit for bit with the
+    /// integer encoder, on the same kinds of hard case.
+    #[test]
+    fn round_bf16_matches_integer_encoder(
+        sel in 0u32..8,
+        raw in 0u64..u64::MAX,
+        code in 0u32..0x7F80,
+        frac in 0.0f64..1.0,
+        neg in 0u32..2,
+    ) {
+        let x = hard_case::<8, 7>(sel, raw, code as u16, frac, neg == 1);
+        let want = decode::<8, 7>(encode::<8, 7>(x));
+        prop_assert_eq!(round_bf16(x).to_bits(), want.to_bits(), "x = {:e} ({:#x})", x, x.to_bits());
     }
 }

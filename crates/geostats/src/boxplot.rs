@@ -1,10 +1,8 @@
 //! Boxplot summary statistics for the Monte-Carlo estimation figures
 //! (paper Figs 5–6 report estimator distributions as boxplots).
 
-use serde::{Deserialize, Serialize};
-
 /// Five-number summary plus the mean of a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxplotStats {
     pub min: f64,
     pub q1: f64,

@@ -1,10 +1,9 @@
 //! Node and cluster assemblies (paper §VII-A experimental systems).
 
 use crate::specs::{GpuGeneration, GpuSpec};
-use serde::{Deserialize, Serialize};
 
 /// One compute node: `gpus` identical GPUs sharing a host.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     pub gpu: GpuSpec,
     pub gpus: usize,
@@ -63,7 +62,7 @@ impl NodeSpec {
 }
 
 /// A cluster of identical nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     pub node: NodeSpec,
     pub nodes: usize,

@@ -2,10 +2,9 @@
 //! power parameters the models need).
 
 use mixedp_fp::Precision;
-use serde::{Deserialize, Serialize};
 
 /// The three GPU generations evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuGeneration {
     /// Tesla V100 (NVLink variant, Summit).
     V100,
@@ -36,7 +35,7 @@ impl GpuGeneration {
 }
 
 /// Full hardware description of one GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     pub generation: GpuGeneration,
     /// Device memory capacity in bytes.

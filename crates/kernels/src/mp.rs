@@ -32,8 +32,7 @@
 
 use crate::blas;
 use crate::workspace::{with_thread_workspace, Workspace};
-use half::f16;
-use mixedp_fp::{round_bf16, round_f16, round_f16_f32, round_tf32_f32, Precision};
+use mixedp_fp::{round_bf16, round_f16, round_f16_f32, round_tf32_f32, Precision, F16};
 use mixedp_obs as obs;
 use mixedp_tile::{Tile, TileBuf};
 
@@ -55,7 +54,7 @@ pub enum ComputeBuf {
     /// quantization — all exactly representable in binary32).
     F32(Vec<f32>),
     /// binary16 image (pure-FP16 GEMM).
-    F16(Vec<f16>),
+    F16(Vec<F16>),
 }
 
 impl ComputeBuf {
@@ -129,7 +128,7 @@ fn quantize_with(t: &Tile, out: &mut Vec<f32>, q64: impl Fn(f64) -> f32, q32: im
 }
 
 /// Widen a binary16 image into an f32 buffer (exact).
-fn widen_f16_into(v: &[f16], out: &mut Vec<f32>) {
+fn widen_f16_into(v: &[F16], out: &mut Vec<f32>) {
     out.clear();
     out.extend(v.iter().map(|x| x.to_f32()));
 }
@@ -149,8 +148,8 @@ pub fn make_compute_buf(p: Precision, t: &Tile) -> ComputeBuf {
     match p {
         Precision::Fp64 => panic!("FP64 operands are consumed directly, not via ComputeBuf"),
         Precision::Fp16 => ComputeBuf::F16(match t.buf() {
-            TileBuf::F64(v) => v.iter().map(|&x| f16::from_f64(x)).collect(),
-            TileBuf::F32(v) => v.iter().map(|&x| f16::from_f32(x)).collect(),
+            TileBuf::F64(v) => v.iter().map(|&x| F16::from_f64(x)).collect(),
+            TileBuf::F32(v) => v.iter().map(|&x| F16::from_f32(x)).collect(),
             TileBuf::F16(v) => v.clone(),
         }),
         _ => {
@@ -408,7 +407,7 @@ const F16_NR: usize = 16;
 /// `bt` = Bᵀ (k×n) and `cf` (m×n) hold binary16 values, and every
 /// operation is rounded back onto the binary16 grid, `acc = r16(acc −
 /// r16(a·b))`, with k walked in order — the per-op sequence of a binary16
-/// multiply-then-subtract loop, so results are bit-identical to `half::f16`
+/// multiply-then-subtract loop, so results are bit-identical to binary16
 /// arithmetic (see `crates/fp/tests/f16_exhaustive.rs`).
 fn gemm_f16_f32(af: &[f32], bt: &[f32], cf: &mut [f32], m: usize, n: usize, k: usize) {
     debug_assert_eq!(cf.len(), m * n);
@@ -518,17 +517,18 @@ mod tests {
     use proptest::prelude::*;
 
     /// The original pure-FP16 GEMM core: binary16 inputs, binary16 multiply
-    /// results, binary16 running accumulation — per-operation rounding via
-    /// `half::f16`. Oracle of the f32-emulated core.
-    fn gemm_f16_core(af: &[f16], bf: &[f16], cf: &mut [f16], n: usize, k: usize) {
+    /// results, binary16 running accumulation — each operation computed
+    /// exactly in f64 and rounded once from there, a route independent of
+    /// the `round_f16_f32` the production core uses. Oracle of that core.
+    fn gemm_f16_core(af: &[F16], bf: &[F16], cf: &mut [F16], n: usize, k: usize) {
         for (i, crow) in cf.chunks_mut(n).enumerate() {
             let ai = &af[i * k..(i + 1) * k];
             for (j, cij) in crow.iter_mut().enumerate() {
                 let bj = &bf[j * k..(j + 1) * k];
                 let mut acc = *cij;
                 for (x, y) in ai.iter().zip(bj) {
-                    let prod = *x * *y; // f16 multiply (rounds to f16)
-                    acc = acc - prod; // f16 subtract (rounds to f16)
+                    let prod = F16::from_f64(x.to_f64() * y.to_f64());
+                    acc = F16::from_f64(acc.to_f64() - prod.to_f64());
                 }
                 *cij = acc;
             }
@@ -634,8 +634,8 @@ mod tests {
             for j in 0..n {
                 let mut acc = 0.0f32;
                 for t in 0..k {
-                    let x = f16::from_f64(a.get(i, t)).to_f32();
-                    let y = f16::from_f64(b.get(j, t)).to_f32();
+                    let x = F16::from_f64(a.get(i, t)).to_f32();
+                    let y = F16::from_f64(b.get(j, t)).to_f32();
                     acc += x * y;
                 }
                 assert_eq!(c.get(i, j), -(acc as f64), "({i},{j})");
@@ -704,13 +704,13 @@ mod tests {
         }
     }
 
-    /// The original FP16 GEMM data path: stage every operand as `f16`, run
+    /// The original FP16 GEMM data path: stage every operand as `F16`, run
     /// [`gemm_f16_core`], store the widened result.
     fn gemm_f16_oracle(a: &Tile, b: &Tile, c: &mut Tile) {
-        let to_f16 = |t: &Tile| -> Vec<f16> {
+        let to_f16 = |t: &Tile| -> Vec<F16> {
             match t.buf() {
-                TileBuf::F64(v) => v.iter().map(|&x| f16::from_f64(x)).collect(),
-                TileBuf::F32(v) => v.iter().map(|&x| f16::from_f64(x as f64)).collect(),
+                TileBuf::F64(v) => v.iter().map(|&x| F16::from_f64(x)).collect(),
+                TileBuf::F32(v) => v.iter().map(|&x| F16::from_f64(x as f64)).collect(),
                 TileBuf::F16(v) => v.clone(),
             }
         };

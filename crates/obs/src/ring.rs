@@ -109,12 +109,7 @@ struct WriterGuard(Arc<Ring>);
 
 impl Drop for WriterGuard {
     fn drop(&mut self) {
-        let mut reg = lock_registry();
-        // A ring that `reset_rings` forgot while this thread lived is not
-        // pooled again: `collect` would never read what it records next.
-        if reg.all.iter().any(|r| Arc::ptr_eq(r, &self.0)) {
-            reg.free.push(Arc::clone(&self.0));
-        }
+        lock_registry().free.push(Arc::clone(&self.0));
     }
 }
 
@@ -221,12 +216,19 @@ pub fn set_default_ring_capacity(cap: usize) {
     lock_registry().capacity = cap.max(1);
 }
 
-/// Forget every pooled ring (their records are lost). Only safe when no
-/// thread holds a writer — i.e. between runs, from the driving thread.
+/// Discard every ring's records and forget the pooled rings, whose owning
+/// threads have exited: rings created after this call take the current
+/// [`set_default_ring_capacity`]. A ring a live thread still writes to
+/// stays registered, so `collect` keeps reading what that thread records
+/// next. Call it between runs, from the driving thread.
 pub fn reset_rings() {
     let mut reg = lock_registry();
-    reg.all.clear();
-    reg.free.clear();
+    let Registry { all, free, .. } = &mut *reg;
+    all.retain(|r| !free.iter().any(|f| Arc::ptr_eq(r, f)));
+    free.clear();
+    for ring in all.iter() {
+        ring.clear();
+    }
 }
 
 /// Serialize tests that toggle the global telemetry state (enable flag,
@@ -281,14 +283,37 @@ mod tests {
             exit_rx.recv().unwrap();
         });
         emitted_rx.recv().unwrap();
-        // forget the holder's ring while its thread still lives, then let
-        // the thread exit: the next thread must get a registered ring
+        // reset while the holder lives, then let it exit: its ring is
+        // pooled empty, and the next thread records into a registered ring
         reset_rings();
         exit_tx.send(()).unwrap();
         holder.join().unwrap();
         std::thread::spawn(|| emit_record(rec(2))).join().unwrap();
         let t = collect();
         assert_eq!(t.records.len(), 1);
+        assert_eq!(t.records[0].ts_ns, 2);
+        reset_rings();
+    }
+
+    #[test]
+    fn live_writer_keeps_its_ring_across_reset() {
+        let _g = test_guard();
+        reset_rings();
+        let (emitted_tx, emitted_rx) = std::sync::mpsc::channel();
+        let (reset_tx, reset_rx) = std::sync::mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            emit_record(rec(1));
+            emitted_tx.send(()).unwrap();
+            reset_rx.recv().unwrap();
+            emit_record(rec(2));
+        });
+        emitted_rx.recv().unwrap();
+        // reset while the writer lives: what it records next is collected
+        reset_rings();
+        reset_tx.send(()).unwrap();
+        writer.join().unwrap();
+        let t = collect();
+        assert_eq!(t.records.len(), 1, "the live writer's ring was forgotten");
         assert_eq!(t.records[0].ts_ns, 2);
         reset_rings();
     }

@@ -1,11 +1,9 @@
 //! 2D block-cyclic process grids.
 
-use serde::{Deserialize, Serialize};
-
 /// A `P × Q` process grid with 2D block-cyclic tile ownership, the
 /// distribution the paper deploys on Summit (§VII-A: "as square as
 /// possible where P ≤ Q").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid2d {
     p: usize,
     q: usize,

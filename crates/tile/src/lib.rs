@@ -1,7 +1,7 @@
 //! Tiles, tile matrices, and data layouts for the mixed-precision framework.
 //!
 //! A [`Tile`] owns its elements in the *actual* storage format of the
-//! precision map (f64 / f32 / IEEE f16 via `half`), so storage-precision
+//! precision map (f64 / f32 / IEEE binary16 as [`mixedp_fp::F16`]), so storage-precision
 //! effects (paper Fig 2b) are real round-offs, and storage/transfer byte
 //! counts are real sizes.
 //!

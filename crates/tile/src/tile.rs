@@ -1,14 +1,13 @@
 //! A tile: an owned, row-major block of a matrix in a concrete storage format.
 
-use half::f16;
-use mixedp_fp::StoragePrecision;
+use mixedp_fp::{StoragePrecision, F16};
 
 /// The backing buffer of a [`Tile`], in its genuine memory representation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TileBuf {
     F64(Vec<f64>),
     F32(Vec<f32>),
-    F16(Vec<f16>),
+    F16(Vec<F16>),
 }
 
 impl TileBuf {
@@ -45,7 +44,7 @@ impl Tile {
         let buf = match storage {
             StoragePrecision::F64 => TileBuf::F64(vec![0.0; n]),
             StoragePrecision::F32 => TileBuf::F32(vec![0.0; n]),
-            StoragePrecision::F16 => TileBuf::F16(vec![f16::ZERO; n]),
+            StoragePrecision::F16 => TileBuf::F16(vec![F16::ZERO; n]),
         };
         Tile { rows, cols, buf }
     }
@@ -57,7 +56,7 @@ impl Tile {
         let buf = match storage {
             StoragePrecision::F64 => TileBuf::F64(data.to_vec()),
             StoragePrecision::F32 => TileBuf::F32(data.iter().map(|&x| x as f32).collect()),
-            StoragePrecision::F16 => TileBuf::F16(data.iter().map(|&x| f16::from_f64(x)).collect()),
+            StoragePrecision::F16 => TileBuf::F16(data.iter().map(|&x| F16::from_f64(x)).collect()),
         };
         Tile { rows, cols, buf }
     }
@@ -122,7 +121,7 @@ impl Tile {
         match &mut self.buf {
             TileBuf::F64(v) => v[k] = x,
             TileBuf::F32(v) => v[k] = x as f32,
-            TileBuf::F16(v) => v[k] = f16::from_f64(x),
+            TileBuf::F16(v) => v[k] = F16::from_f64(x),
         }
     }
 
@@ -177,7 +176,7 @@ impl Tile {
             TileBuf::F32(v) => v.copy_from_slice(data),
             TileBuf::F16(v) => {
                 for (d, &s) in v.iter_mut().zip(data) {
-                    *d = f16::from_f32(s);
+                    *d = F16::from_f32(s);
                 }
             }
         }
@@ -222,7 +221,7 @@ impl Tile {
             }
             TileBuf::F16(v) => {
                 for (d, &s) in v.iter_mut().zip(data) {
-                    *d = f16::from_f64(s);
+                    *d = F16::from_f64(s);
                 }
             }
         }
@@ -278,7 +277,7 @@ mod tests {
         let mut t = Tile::zeros(2, 2, StoragePrecision::F16);
         t.set(0, 1, 1.0 / 3.0);
         let v = t.get(0, 1);
-        assert_eq!(v, half::f16::from_f64(1.0 / 3.0).to_f64());
+        assert_eq!(v, mixedp_fp::round_f16(1.0 / 3.0));
         assert_ne!(v, 1.0 / 3.0);
     }
 

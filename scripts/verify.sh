@@ -31,7 +31,7 @@ echo "== fault-injection recovery tests (release, multiple seeds)"
 FAULT_SEEDS="1,7,42,20260807,987654321" \
     cargo test --offline -q --release -p mixedp-core --test fault_recovery
 
-echo "== exhaustive FP16-emulation checks (release, 2^32 inputs each, ~2 min)"
+echo "== exhaustive FP16/BF16 rounding checks (release, 2^32 inputs each, ~2 min on 2 vCPUs)"
 cargo test --offline -q --release -p mixedp-fp --test f16_exhaustive -- --ignored
 
 echo "== likelihood benchmark tests (release: quick runs of both workloads and their bit gates)"
