@@ -13,15 +13,22 @@
 //! requested order. Relative accuracy is ~1e-13 on the domain the Matérn
 //! kernel exercises (`x ∈ (0, ~50]`, `ν ∈ (0, ~5]`).
 
-const EPS: f64 = 1e-16;
-const MAX_ITER: usize = 10_000;
+use std::f64::consts::PI;
+
+pub(crate) const EPS: f64 = 1e-16;
+pub(crate) const MAX_ITER: usize = 10_000;
 /// Euler–Mascheroni constant.
-const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
+pub(crate) const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
+
+/// Lane width of the batched CF2 kernel: how many `x > 2` arguments the
+/// Matérn model's `cov_into` advances through Steed's CF2 in lock-step.
+/// EXPERIMENTS.md ("Matérn CF2 lane width") records how it was picked.
+pub const LANES: usize = 16;
 
 /// `Γ`-derived coefficients of Temme's series:
 /// `gam1 = (1/Γ(1−μ) − 1/Γ(1+μ)) / (2μ)`, `gam2 = (1/Γ(1−μ) + 1/Γ(1+μ)) / 2`,
 /// plus `1/Γ(1+μ)` and `1/Γ(1−μ)` themselves.
-fn temme_gammas(mu: f64) -> (f64, f64, f64, f64) {
+pub(crate) fn temme_gammas(mu: f64) -> (f64, f64, f64, f64) {
     let gampl = 1.0 / libm::tgamma(1.0 + mu);
     let gammi = 1.0 / libm::tgamma(1.0 - mu);
     let gam1 = if mu.abs() < 1e-5 {
@@ -33,6 +40,184 @@ fn temme_gammas(mu: f64) -> (f64, f64, f64, f64) {
     };
     let gam2 = (gammi + gampl) / 2.0;
     (gam1, gam2, gampl, gammi)
+}
+
+/// Split `ν = nl + μ` with `nl` integer and `|μ| ≤ ½`.
+fn split_order(nu: f64) -> (usize, f64) {
+    let nl = (nu + 0.5).floor();
+    (nl as usize, nu - nl)
+}
+
+/// Upward recurrence `K_{m+1} = K_{m−1} + 2m/x · K_m` from
+/// `(K_μ, K_{μ+1})`, starting at `m = μ+1`; returns `K_{μ+nl}`.
+fn recur_up(nl: usize, mu: f64, x: f64, mut k_mu: f64, mut k_mu1: f64) -> f64 {
+    for i in 1..=nl {
+        let k_next = k_mu + 2.0 * (mu + i as f64) / x * k_mu1;
+        k_mu = k_mu1;
+        k_mu1 = k_next;
+    }
+    k_mu
+}
+
+/// The `μ`-only factors of Temme's series, computed once per order.
+#[derive(Debug, Clone, Copy)]
+struct Temme {
+    mu: f64,
+    /// `πμ / sin πμ`.
+    fact: f64,
+    gam1: f64,
+    gam2: f64,
+    gampl: f64,
+    gammi: f64,
+}
+
+impl Temme {
+    fn new(mu: f64) -> Self {
+        let pimu = PI * mu;
+        let fact = if pimu.abs() < EPS {
+            1.0
+        } else {
+            pimu / pimu.sin()
+        };
+        let (gam1, gam2, gampl, gammi) = temme_gammas(mu);
+        Temme {
+            mu,
+            fact,
+            gam1,
+            gam2,
+            gampl,
+            gammi,
+        }
+    }
+
+    /// Temme's series: `(K_μ(x), K_{μ+1}(x))` for `x ≤ 2`, `|μ| ≤ ½`.
+    fn k_pair(&self, x: f64) -> (f64, f64) {
+        let mu = self.mu;
+        let x2 = 0.5 * x;
+        let d = -x2.ln();
+        let e = mu * d;
+        let fact2 = if e.abs() < EPS { 1.0 } else { e.sinh() / e };
+        let mut ff = self.fact * (self.gam1 * e.cosh() + self.gam2 * fact2 * d);
+        let mut sum = ff;
+        let e = e.exp();
+        let mut p = 0.5 * e / self.gampl;
+        let mut q = 0.5 / (e * self.gammi);
+        let mut c = 1.0;
+        let d2 = x2 * x2;
+        let mut sum1 = p;
+        let mu2 = mu * mu;
+        for i in 1..=MAX_ITER {
+            let fi = i as f64;
+            ff = (fi * ff + p + q) / (fi * fi - mu2);
+            c *= d2 / fi;
+            p /= fi - mu;
+            q /= fi + mu;
+            let del = c * ff;
+            sum += del;
+            let del1 = c * (p - fi * ff);
+            sum1 += del1;
+            if del.abs() < sum.abs() * EPS {
+                break;
+            }
+        }
+        (sum, sum1 * 2.0 / x)
+    }
+}
+
+/// Steed's CF2 for `N` arguments `x > 2` sharing one `μ` (`|μ| ≤ ½`):
+/// returns `(K_μ(x), K_{μ+1}(x))` lane by lane. Batches use `N = LANES`,
+/// the scalar [`bessel_k`] one lane.
+///
+/// Every iteration is a chain of dependent divisions, so one argument at a
+/// time leaves the divider idle between them; advancing [`LANES`]
+/// independent arguments per step fills it. The step terms `a` and `c`
+/// depend only on `μ` and the step, so they are computed once for all
+/// lanes. Each lane performs exactly the scalar recurrence's operation
+/// sequence on its own `b, d, Δh, h, q₁, q₂, q, s`, and freezes `h` and `s`
+/// by select at the step where its own stop test `|Δs / s| < EPS` first
+/// holds — the step at which the scalar loop breaks — so every lane is bit
+/// for bit the scalar CF2 of its `x`, whatever its neighbours do. State
+/// that a frozen lane keeps advancing is never read.
+fn cf2_lanes<const N: usize>(mu: f64, x: &[f64; N]) -> ([f64; N], [f64; N]) {
+    let mu2 = mu * mu;
+    let a1 = 0.25 - mu2;
+    let mut b = x.map(|x| 2.0 * (1.0 + x));
+    let mut d = b.map(|b| 1.0 / b);
+    let mut delh = d;
+    let mut h = delh;
+    let mut q1 = [0.0; N];
+    let mut q2 = [1.0; N];
+    let mut q = [a1; N];
+    let mut s = delh.map(|delh| 1.0 + a1 * delh);
+    let mut live = [true; N];
+    let mut c = a1;
+    let mut a = -a1;
+    for i in 2..=MAX_ITER {
+        let fi = i as f64;
+        a -= 2.0 * (fi - 1.0);
+        c = -a * c / fi;
+        for l in 0..N {
+            let qnew = (q1[l] - b[l] * q2[l]) / a;
+            q1[l] = q2[l];
+            q2[l] = qnew;
+            q[l] += c * qnew;
+            b[l] += 2.0;
+            d[l] = 1.0 / (b[l] + a * d[l]);
+            delh[l] *= b[l] * d[l] - 1.0;
+            let h_next = h[l] + delh[l];
+            let dels = q[l] * delh[l];
+            let s_next = s[l] + dels;
+            h[l] = if live[l] { h_next } else { h[l] };
+            s[l] = if live[l] { s_next } else { s[l] };
+            // the scalar loop's test, NaN included: a NaN ratio never stops
+            let stop = (dels / s_next).abs() < EPS;
+            live[l] = live[l] && !stop;
+        }
+        if !live.contains(&true) {
+            break;
+        }
+    }
+    let k_mu: [f64; N] = std::array::from_fn(|l| (PI / (2.0 * x[l])).sqrt() * (-x[l]).exp() / s[l]);
+    let k_mu1 = std::array::from_fn(|l| k_mu[l] * (mu + x[l] + 0.5 - a1 * h[l]) / x[l]);
+    (k_mu, k_mu1)
+}
+
+/// `K_ν` at one fixed order `ν ≥ 0`, with everything that depends on `ν`
+/// alone — the split `ν = nl + μ` and Temme's `πμ/sin πμ` and `Γ` factors —
+/// computed once at construction. [`BesselK::small`] and
+/// [`BesselK::large`] then equal [`bessel_k`] bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BesselK {
+    nl: usize,
+    temme: Temme,
+}
+
+impl BesselK {
+    /// # Panics
+    /// Panics on `ν < 0`.
+    pub(crate) fn new(nu: f64) -> Self {
+        assert!(nu >= 0.0, "bessel_k requires ν ≥ 0, got {nu}");
+        let (nl, mu) = split_order(nu);
+        BesselK {
+            nl,
+            temme: Temme::new(mu),
+        }
+    }
+
+    /// `K_ν(x)` for `0 < x ≤ 2` (Temme's series).
+    pub(crate) fn small(&self, x: f64) -> f64 {
+        let (k_mu, k_mu1) = self.temme.k_pair(x);
+        recur_up(self.nl, self.temme.mu, x, k_mu, k_mu1)
+    }
+
+    /// `K_ν(x)` at [`LANES`] arguments `x > 2` (lane-batched CF2). Pad a
+    /// partial batch with a copy of a live argument: a copy converges at
+    /// the same step, so it never lengthens the batch.
+    pub(crate) fn large(&self, x: &[f64; LANES]) -> [f64; LANES] {
+        let mu = self.temme.mu;
+        let (k_mu, k_mu1) = cf2_lanes(mu, x);
+        std::array::from_fn(|l| recur_up(self.nl, mu, x[l], k_mu[l], k_mu1[l]))
+    }
 }
 
 /// `K_ν(x)` for `ν ≥ 0`, `x > 0`.
@@ -51,107 +236,57 @@ fn temme_gammas(mu: f64) -> (f64, f64, f64, f64) {
 pub fn bessel_k(nu: f64, x: f64) -> f64 {
     assert!(x > 0.0, "bessel_k requires x > 0, got {x}");
     assert!(nu >= 0.0, "bessel_k requires ν ≥ 0, got {nu}");
-
-    // Split ν = nl + μ with nl integer and |μ| ≤ 1/2.
-    let nl = (nu + 0.5).floor();
-    let mu = nu - nl;
-    let nl = nl as usize;
-
-    let (mut k_mu, mut k_mu1) = if x <= 2.0 {
-        k_temme_series(mu, x)
+    let (nl, mu) = split_order(nu);
+    let (k_mu, k_mu1) = if x <= 2.0 {
+        Temme::new(mu).k_pair(x)
     } else {
-        k_steed_cf2(mu, x)
+        let (k_mu, k_mu1) = cf2_lanes(mu, &[x]);
+        (k_mu[0], k_mu1[0])
     };
-
-    // Upward recurrence K_{m+1} = K_{m−1} + 2m/x · K_m, starting at m = μ+1.
-    for i in 1..=nl {
-        let k_next = k_mu + 2.0 * (mu + i as f64) / x * k_mu1;
-        k_mu = k_mu1;
-        k_mu1 = k_next;
-    }
-    k_mu
-}
-
-/// Temme's series: returns `(K_μ(x), K_{μ+1}(x))` for `x ≤ 2`, `|μ| ≤ ½`.
-fn k_temme_series(mu: f64, x: f64) -> (f64, f64) {
-    let x2 = 0.5 * x;
-    let pimu = std::f64::consts::PI * mu;
-    let fact = if pimu.abs() < EPS {
-        1.0
-    } else {
-        pimu / pimu.sin()
-    };
-    let d = -x2.ln();
-    let e = mu * d;
-    let fact2 = if e.abs() < EPS { 1.0 } else { e.sinh() / e };
-    let (gam1, gam2, gampl, gammi) = temme_gammas(mu);
-    let mut ff = fact * (gam1 * e.cosh() + gam2 * fact2 * d);
-    let mut sum = ff;
-    let e = e.exp();
-    let mut p = 0.5 * e / gampl;
-    let mut q = 0.5 / (e * gammi);
-    let mut c = 1.0;
-    let d2 = x2 * x2;
-    let mut sum1 = p;
-    let mu2 = mu * mu;
-    for i in 1..=MAX_ITER {
-        let fi = i as f64;
-        ff = (fi * ff + p + q) / (fi * fi - mu2);
-        c *= d2 / fi;
-        p /= fi - mu;
-        q /= fi + mu;
-        let del = c * ff;
-        sum += del;
-        let del1 = c * (p - fi * ff);
-        sum1 += del1;
-        if del.abs() < sum.abs() * EPS {
-            break;
-        }
-    }
-    (sum, sum1 * 2.0 / x)
-}
-
-/// Steed's CF2: returns `(K_μ(x), K_{μ+1}(x))` for `x > 2`, `|μ| ≤ ½`.
-fn k_steed_cf2(mu: f64, x: f64) -> (f64, f64) {
-    let mu2 = mu * mu;
-    let mut b = 2.0 * (1.0 + x);
-    let mut d = 1.0 / b;
-    let mut delh = d;
-    let mut h = delh;
-    let mut q1 = 0.0;
-    let mut q2 = 1.0;
-    let a1 = 0.25 - mu2;
-    let mut q = a1;
-    let mut c = a1;
-    let mut a = -a1;
-    let mut s = 1.0 + q * delh;
-    for i in 2..=MAX_ITER {
-        let fi = i as f64;
-        a -= 2.0 * (fi - 1.0);
-        c = -a * c / fi;
-        let qnew = (q1 - b * q2) / a;
-        q1 = q2;
-        q2 = qnew;
-        q += c * qnew;
-        b += 2.0;
-        d = 1.0 / (b + a * d);
-        delh *= b * d - 1.0;
-        h += delh;
-        let dels = q * delh;
-        s += dels;
-        if (dels / s).abs() < EPS {
-            break;
-        }
-    }
-    let h = a1 * h;
-    let k_mu = (std::f64::consts::PI / (2.0 * x)).sqrt() * (-x).exp() / s;
-    let k_mu1 = k_mu * (mu + x + 0.5 - h) / x;
-    (k_mu, k_mu1)
+    recur_up(nl, mu, x, k_mu, k_mu1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::reference_bessel_k;
+
+    /// The scalar entry point and both batched regimes equal the scalar
+    /// oracle bit for bit, across the `x = 2` boundary, at half-integer
+    /// orders (CF2 stops at its first step) and at `|μ| < 1e-5`.
+    #[test]
+    fn bit_identical_to_scalar_oracle() {
+        let xs: Vec<f64> = (1..=120)
+            .map(|i| 0.05 * i as f64)
+            .chain([2.0, 1e-3, 47.0])
+            .collect();
+        for &nu in &[0.1, 0.481, 0.5, 1.0 + 3e-6, 1.5, 1.97, 2.5, 3.3, 5.0] {
+            let k = BesselK::new(nu);
+            for &x in &xs {
+                let want = reference_bessel_k(nu, x).to_bits();
+                assert_eq!(bessel_k(nu, x).to_bits(), want, "bessel_k({nu}, {x})");
+                if x <= 2.0 {
+                    assert_eq!(k.small(x).to_bits(), want, "small({nu}, {x})");
+                }
+            }
+            // lanes with mixed iteration counts: each lane is its own scalar
+            for chunk in xs
+                .iter()
+                .filter(|&&x| x > 2.0)
+                .collect::<Vec<_>>()
+                .chunks(LANES)
+            {
+                let mut batch = [*chunk[0]; LANES];
+                for (b, &&x) in batch.iter_mut().zip(chunk) {
+                    *b = x;
+                }
+                for (l, got) in k.large(&batch).iter().enumerate() {
+                    let want = reference_bessel_k(nu, batch[l]).to_bits();
+                    assert_eq!(got.to_bits(), want, "large({nu}, {})", batch[l]);
+                }
+            }
+        }
+    }
 
     /// Closed form: K_{1/2}(x) = sqrt(π/(2x)) e^{−x}.
     fn k_half(x: f64) -> f64 {

@@ -6,8 +6,13 @@
 //!   `θ = (σ², β)`.
 //! * **2D Matérn**:
 //!   `C(h) = σ²·(2^{1−ν}/Γ(ν))·(h/β)^ν·K_ν(h/β)`, `θ = (σ², β, ν)`.
+//!
+//! Assembly evaluates a model through [`CovarianceModel::cov_into`], one
+//! call per tile (or dense row), so a model can compute its `θ`-only terms
+//! once per call; [`CovarianceModel::cov`] stays the per-entry definition,
+//! and `cov_into` must equal it bit for bit.
 
-use crate::bessel::bessel_k;
+use crate::bessel::{bessel_k, BesselK, LANES};
 use crate::locations::Location;
 
 /// A stationary isotropic covariance model parameterized by `θ`.
@@ -23,6 +28,15 @@ pub trait CovarianceModel: Sync + Send {
 
     /// Model label as used in the paper ("2D-sqexp", "2D-Matérn", "3D-sqexp").
     fn label(&self) -> &'static str;
+
+    /// Overwrite each distance `h[k] ≥ 0` with its covariance `cov(h[k])`,
+    /// bit for bit. The default evaluates [`CovarianceModel::cov`] entry by
+    /// entry.
+    fn cov_into(&self, theta: &[f64], h: &mut [f64]) {
+        for v in h {
+            *v = self.cov(*v, theta);
+        }
+    }
 
     /// Covariance between two locations.
     fn cov_loc(&self, a: &Location, b: &Location, theta: &[f64]) -> f64 {
@@ -87,8 +101,52 @@ impl CovarianceModel for Matern2d {
             return sigma_sq;
         }
         let r = h / beta;
-        let scale = (2.0f64).powf(1.0 - nu) / libm::tgamma(nu);
-        sigma_sq * scale * r.powf(nu) * bessel_k(nu, r)
+        sigma_sq * matern_scale(nu) * r.powf(nu) * bessel_k(nu, r)
+    }
+
+    /// `σ²·2^{1−ν}/Γ(ν)` and the order's Bessel terms once per call; `x ≤ 2`
+    /// entries take Temme's series in place, `x > 2` entries are gathered
+    /// into batches of [`LANES`] for the lane-batched CF2 (a partial last
+    /// batch is padded with its first argument). Each entry keeps the
+    /// operation sequence of [`Matern2d::cov`], so the result is bitwise
+    /// the same.
+    fn cov_into(&self, theta: &[f64], h: &mut [f64]) {
+        debug_assert_eq!(theta.len(), 3);
+        let (sigma_sq, beta, nu) = (theta[0], theta[1], theta[2]);
+        let amp = sigma_sq * matern_scale(nu);
+        let k = BesselK::new(nu);
+        let mut idx = [0usize; LANES];
+        let mut xs = [0.0; LANES];
+        let mut live = 0;
+        let flush = |h: &mut [f64], idx: &[usize; LANES], xs: &mut [f64; LANES], live: usize| {
+            let first = xs[0];
+            xs[live..].fill(first);
+            let kx = k.large(xs);
+            for l in 0..live {
+                h[idx[l]] = amp * xs[l].powf(nu) * kx[l];
+            }
+        };
+        for i in 0..h.len() {
+            if h[i] == 0.0 {
+                h[i] = sigma_sq;
+                continue;
+            }
+            let r = h[i] / beta;
+            if r <= 2.0 {
+                h[i] = amp * r.powf(nu) * k.small(r);
+            } else {
+                idx[live] = i;
+                xs[live] = r;
+                live += 1;
+                if live == LANES {
+                    flush(h, &idx, &mut xs, live);
+                    live = 0;
+                }
+            }
+        }
+        if live > 0 {
+            flush(h, &idx, &mut xs, live);
+        }
     }
 
     fn param_names(&self) -> &'static [&'static str] {
@@ -98,6 +156,11 @@ impl CovarianceModel for Matern2d {
     fn label(&self) -> &'static str {
         "2D-Matérn"
     }
+}
+
+/// The Matérn normalization `2^{1−ν}/Γ(ν)`.
+fn matern_scale(nu: f64) -> f64 {
+    (2.0f64).powf(1.0 - nu) / libm::tgamma(nu)
 }
 
 /// Powered exponential `C(h) = σ² exp(−(h/β)^γ)`, `θ = (σ², β, γ)` with
@@ -161,7 +224,10 @@ pub fn covariance_entry(
 }
 
 /// Build the dense covariance matrix `Σ(θ)` for a location set (row-major,
-/// symmetric, used by the exact reference path and data generation).
+/// symmetric, used by the exact reference path, data generation and
+/// kriging). Each row's lower part `j ≤ i` is evaluated in place by one
+/// [`CovarianceModel::cov_into`] call, so the entries equal
+/// [`covariance_entry`] bit for bit.
 pub fn covariance_dense(
     model: &dyn CovarianceModel,
     locs: &[Location],
@@ -169,10 +235,13 @@ pub fn covariance_dense(
 ) -> mixedp_tile::DenseMatrix {
     let n = locs.len();
     let mut a = mixedp_tile::DenseMatrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            a.set(i, j, covariance_entry(model, locs, i, j, theta));
+    for (i, row) in a.data_mut().chunks_mut(n.max(1)).enumerate() {
+        let lower = &mut row[..=i];
+        for (v, b) in lower.iter_mut().zip(locs) {
+            *v = locs[i].dist(b);
         }
+        model.cov_into(theta, lower);
+        lower[i] += theta[0] * NUGGET_REL;
     }
     a.symmetrize_from_lower();
     a

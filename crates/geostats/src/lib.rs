@@ -23,6 +23,7 @@ pub mod loglik;
 pub mod mle;
 pub mod montecarlo;
 pub mod optimizer;
+pub mod oracle;
 pub mod predict;
 pub mod variogram;
 

@@ -182,10 +182,15 @@ impl SymmTileMatrix {
     /// Materialize only the lower triangle (upper left zero) — i.e. the
     /// Cholesky factor after factorization.
     pub fn to_dense_lower(&self) -> DenseMatrix {
-        let mut a = DenseMatrix::zeros(self.n, self.n);
-        for i in 0..self.n {
-            for j in 0..=i {
-                a.set(i, j, self.get(i, j));
+        let n = self.n;
+        let mut a = DenseMatrix::zeros(n, n);
+        let out = a.data_mut();
+        for (ti, tj, t) in self.iter_lower() {
+            let (oi, oj) = (ti * self.nb, tj * self.nb);
+            for r in 0..t.rows() {
+                let width = if ti == tj { r + 1 } else { t.cols() };
+                let start = (oi + r) * n + oj;
+                t.read_row_f64(r, &mut out[start..start + width]);
             }
         }
         a

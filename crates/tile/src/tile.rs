@@ -125,6 +125,25 @@ impl Tile {
         }
     }
 
+    /// Widen the first `dst.len()` entries of row `i` into `dst`.
+    pub fn read_row_f64(&self, i: usize, dst: &mut [f64]) {
+        assert!(i < self.rows && dst.len() <= self.cols);
+        let row = i * self.cols..i * self.cols + dst.len();
+        match &self.buf {
+            TileBuf::F64(v) => dst.copy_from_slice(&v[row]),
+            TileBuf::F32(v) => {
+                for (d, &s) in dst.iter_mut().zip(&v[row]) {
+                    *d = s as f64;
+                }
+            }
+            TileBuf::F16(v) => {
+                for (d, s) in dst.iter_mut().zip(&v[row]) {
+                    *d = s.to_f64();
+                }
+            }
+        }
+    }
+
     /// Widen the whole tile to an `f64` vector (row-major).
     pub fn to_f64(&self) -> Vec<f64> {
         match &self.buf {

@@ -27,6 +27,9 @@ cargo test --offline --workspace -q
 echo "== scheduler property tests (release: steal races at full speed)"
 cargo test --offline -q --release -p mixedp-runtime
 
+echo "== covariance generation tests (release: the native codegen vectorizes the Matérn CF2 lanes)"
+cargo test --offline -q --release -p mixedp-geostats
+
 echo "== fault-injection recovery tests (release, multiple seeds)"
 FAULT_SEEDS="1,7,42,20260807,987654321" \
     cargo test --offline -q --release -p mixedp-core --test fault_recovery
